@@ -12,9 +12,8 @@ from enum import Enum
 
 import numpy as np
 
-from .embedding import EmbeddingSolution, cost_of, metric_of, revenue_of
-from .local_embed import LocalEmbedOutcome, LocalEmbedParams, _Scratch, demand_order
-from .model import PhysicalNetwork, Vnr
+from .local_embed import LocalEmbedOutcome, LocalEmbedParams, _finish, _Scratch, demand_order
+from .model import PhysicalNetwork, Vnr, require_finite
 
 
 class BaselineKind(str, Enum):
@@ -34,27 +33,13 @@ class GrcParams:
     max_iterations: int = 500
 
     def validate(self) -> None:
+        require_finite(damping=self.damping, tolerance=self.tolerance)
         if not 0.0 <= self.damping < 1.0:
             raise ValueError("damping must lie in [0, 1)")
         if self.tolerance <= 0:
             raise ValueError("tolerance must be positive")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be at least 1")
-
-
-def _finish(scratch: _Scratch, vnr: Vnr, params: LocalEmbedParams, inspected: int) -> LocalEmbedOutcome:
-    revenue = revenue_of(vnr)
-    solution = EmbeddingSolution(
-        request_id=vnr.request_id,
-        node_mapping=dict(sorted(scratch.placement.items())),
-        path_mapping=dict(sorted(scratch.paths.items())),
-        revenue=revenue,
-        cost=0.0,
-        metric=0.0,
-    )
-    solution.cost = cost_of(vnr, solution)
-    solution.metric = metric_of(revenue, solution.cost, params.x, params.y)
-    return LocalEmbedOutcome(True, solution, inspected, 0)
 
 
 def _greedy_by_choice(
@@ -76,7 +61,7 @@ def _greedy_by_choice(
         if not scratch.try_place(vid, pid, hop_limit):
             # node capacity already checked, so a link refused to route
             return LocalEmbedOutcome(False, None, inspected, 0)
-    return _finish(scratch, vnr, params, inspected)
+    return _finish(scratch, params, inspected, 0)
 
 
 def first_fit(
@@ -205,4 +190,4 @@ def grc_embed(
                 break
         if chosen is None or not scratch.try_place(vid, chosen, hop_limit):
             return LocalEmbedOutcome(False, None, inspected, 0)
-    return _finish(scratch, vnr, params, inspected)
+    return _finish(scratch, params, inspected, 0)

@@ -22,6 +22,7 @@ from .model import (
     VirtualNode,
     Vnr,
     _connected,
+    require_finite,
 )
 
 _STREAM_IDS = {"topology": 0, "vnr": 1, "primaries": 2, "leaders": 3}
@@ -76,6 +77,13 @@ class GeneratorConfig:
         return math.sqrt(second) if self.second_parameter == "variance" else second
 
     def validate(self) -> None:
+        require_finite(
+            link_probability=self.link_probability,
+            vnr_link_probability=self.vnr_link_probability,
+            arrival_rate=self.arrival_rate,
+            resource_floor=self.resource_floor,
+            lifetime_floor=self.lifetime_floor,
+        )
         if self.server_count < 1:
             raise ValueError("server_count must be at least 1")
         if not 0.0 <= self.link_probability <= 1.0:
@@ -95,11 +103,13 @@ class GeneratorConfig:
             raise ValueError("floors must be positive")
         if self.max_attempts < 1:
             raise ValueError("max_attempts must be at least 1")
-        for dist in (
-            self.cpu_capacity, self.memory_capacity, self.gpu_capacity,
-            self.link_bandwidth, self.cpu_demand, self.memory_demand,
-            self.gpu_demand, self.bandwidth_demand, self.lifetime,
+        for name in (
+            "cpu_capacity", "memory_capacity", "gpu_capacity", "link_bandwidth",
+            "cpu_demand", "memory_demand", "gpu_demand", "bandwidth_demand", "lifetime",
         ):
+            dist = getattr(self, name)
+            if not all(math.isfinite(value) for value in dist):
+                raise ValueError(f"{name} must be finite, got {dist}")
             self.std_of(dist)
 
 

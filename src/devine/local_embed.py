@@ -14,7 +14,7 @@ from collections import deque
 from dataclasses import dataclass
 
 from .embedding import EmbeddingSolution, cost_of, metric_of, revenue_of
-from .model import PhysicalNetwork, Vnr
+from .model import PhysicalNetwork, Vnr, require_finite
 
 INFEASIBLE = float("-inf")
 
@@ -34,6 +34,7 @@ class LocalEmbedParams:
         return 2 * self.beta if self.path_hop_limit is None else self.path_hop_limit
 
     def validate(self) -> None:
+        require_finite(alpha=self.alpha, x=self.x, y=self.y)
         if self.alpha <= 0:
             raise ValueError("alpha must be positive")
         if self.beta < 0:
@@ -91,6 +92,26 @@ def map_link(
 
     def usable(link_idx: int) -> bool:
         return links[link_idx].bw_residual_m - reserved.get(link_idx, 0) >= bw_demand_m
+
+    # First try the capacity-blind shortest path.  Capacity only removes
+    # links, so no feasible path is shorter: if it is too long or missing,
+    # nothing fits.  If every hop carries the demand it is the answer the
+    # search below would give, since the feasible shortest paths are among
+    # the capacity-blind ones and the walk yields the smallest of those.
+    hops = net.next_hops(dst)
+    path = [src]
+    blocked = False
+    here = src
+    while here != dst:
+        nxt = hops[here]
+        if nxt < 0 or len(path) > hop_limit:
+            return None
+        if not blocked and not usable(adjacency[here][nxt]):
+            blocked = True
+        path.append(nxt)
+        here = nxt
+    if not blocked:
+        return tuple(path)
 
     # breadth-first levels from dst so the greedy walk below can descend
     dist = {dst: 0}
@@ -222,10 +243,27 @@ def embed(
         inspected += 1
         if depth > max_depth:
             max_depth = depth
-        # front-to-back greedy pass: skip individual misfits, keep scanning
+        # front-to-back greedy pass: skip individual misfits, keep scanning.
+        # A demand above what is free here would fail node_fits inside
+        # try_place, so it is skipped without the call.
+        residual = net.nodes[here].residual
+        used = scratch.node_usage.get(here, (0, 0, 0))
+        free_cpu = residual.cpu_m - used[0]
+        free_memory = residual.memory_m - used[1]
+        free_gpu = residual.gpu_m - used[2]
         for vid in list(remaining):
+            demand = vnr.nodes[vid].demand
+            if (
+                demand.cpu_m > free_cpu
+                or demand.memory_m > free_memory
+                or demand.gpu_m > free_gpu
+            ):
+                continue
             if scratch.try_place(vid, here, hop_limit):
                 remaining.remove(vid)
+                free_cpu -= demand.cpu_m
+                free_memory -= demand.memory_m
+                free_gpu -= demand.gpu_m
         if depth < params.beta:
             for nb in net.neighbors(here):
                 if nb not in visited:
@@ -234,7 +272,14 @@ def embed(
 
     if remaining:
         return LocalEmbedOutcome(False, None, inspected, max_depth)
+    return _finish(scratch, params, inspected, max_depth)
 
+
+def _finish(
+    scratch: _Scratch, params: LocalEmbedParams, inspected: int, max_depth: int
+) -> LocalEmbedOutcome:
+    """Feasible outcome for a complete tentative placement, priced and scored."""
+    vnr = scratch.vnr
     revenue = revenue_of(vnr)
     solution = EmbeddingSolution(
         request_id=vnr.request_id,

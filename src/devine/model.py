@@ -8,6 +8,7 @@ release cycles restore residual capacities exactly, with no float drift.
 from __future__ import annotations
 
 import hashlib
+import math
 from collections import deque
 from dataclasses import dataclass, field
 
@@ -21,6 +22,13 @@ def to_milli(value: float) -> int:
 
 def from_milli(units: int) -> float:
     return units / SCALE
+
+
+def require_finite(**values: float) -> None:
+    """Raise ValueError naming the first value that is infinite or NaN."""
+    for name, value in values.items():
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
 
 
 class ResourceVector:
@@ -185,6 +193,9 @@ class PhysicalNetwork:
         self.links = links
         self.adjacency = _build_adjacency(len(nodes), links)
         self._neighbors = [sorted(nbs) for nbs in self.adjacency]
+        # built one destination at a time on first use: building all of them
+        # here would charge every destination to network setup
+        self._next_hops: list[list[int] | None] = [None] * len(nodes)
 
     @property
     def num_nodes(self) -> int:
@@ -204,6 +215,33 @@ class PhysicalNetwork:
     def link_between(self, u: int, v: int) -> PhysicalLink | None:
         idx = self.adjacency[u].get(v)
         return None if idx is None else self.links[idx]
+
+    def next_hops(self, dst: int) -> list[int]:
+        """Capacity-blind shortest-path steps towards dst.
+
+        Entry v is v's smallest-id neighbor one hop closer to dst, so walking
+        the entries from any node traces the lexicographically smallest
+        shortest path to dst.  Entry dst is dst itself; entry v is -1 when v
+        cannot reach dst.  The topology is static, so each table is built
+        once, by one breadth-first search.
+        """
+        table = self._next_hops[dst]
+        if table is None:
+            table = [-1] * self.num_nodes
+            table[dst] = dst
+            frontier = [dst]
+            while frontier:
+                reached = []
+                # ascending frontier ids: a node's first discoverer is its
+                # smallest-id neighbor on the previous level
+                for here in frontier:
+                    for nb in self._neighbors[here]:
+                        if table[nb] < 0:
+                            table[nb] = here
+                            reached.append(nb)
+                frontier = sorted(reached)
+            self._next_hops[dst] = table
+        return table
 
     def is_connected(self) -> bool:
         return _connected(self.num_nodes, self.adjacency)

@@ -22,9 +22,14 @@ from .embedding import (
 )
 from .generator import GeneratorConfig, generate_physical_network, generate_vnr, stream
 from .protocol import ElectionParams, ElectionTrace, run_election
-from .model import Vnr
+from .model import Vnr, require_finite
 
 ALGORITHMS = ("devine", "firstfit", "bestfit", "grc")
+
+# Caps on the expected arrival count and on the series length, so a typo in
+# the horizon or the rates fails validation instead of exhausting memory.
+MAX_ARRIVALS = 10_000_000
+MAX_SAMPLES = 10_000_000
 
 _DEPARTURE = 0  # sorts before arrivals at equal times
 _ARRIVAL = 1
@@ -52,6 +57,7 @@ class SimConfig:
             raise ValueError(
                 f"unknown algorithm {self.algorithm!r}; expected one of {ALGORITHMS}"
             )
+        require_finite(duration=self.duration, sampling_interval=self.sampling_interval)
         if self.duration < 0:
             raise ValueError("duration must be non-negative")
         if self.sampling_interval <= 0:
@@ -61,6 +67,14 @@ class SimConfig:
         self.generator.validate()
         self.election.validate()
         self.grc.validate()
+        if self.generator.arrival_rate * self.duration > MAX_ARRIVALS:
+            raise ValueError(
+                f"arrival_rate * duration expects more than {MAX_ARRIVALS} arrivals"
+            )
+        if self.duration / self.sampling_interval > MAX_SAMPLES:
+            raise ValueError(
+                f"duration / sampling_interval asks for more than {MAX_SAMPLES} samples"
+            )
 
     def to_dict(self) -> dict:
         return {

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -47,6 +49,8 @@ def test_grc_params_validation():
         {"damping": -0.1},
         {"tolerance": 0.0},
         {"max_iterations": 0},
+        {"tolerance": math.nan},
+        {"tolerance": math.inf},
     ):
         with pytest.raises(ValueError):
             GrcParams(**bad).validate()

@@ -166,6 +166,33 @@ def test_config_errors_exit_1(tmp_path, capsys):
         assert "config error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "flags, config, message",
+    [
+        (["--arrival-rate", "inf", "--duration", "1"], None, "arrival_rate must be finite"),
+        (["--duration", "nan"], None, "duration must be finite"),
+        (["--duration", "inf"], None, "duration must be finite"),
+        ([], {"sampling_interval": float("nan")}, "sampling_interval must be finite"),
+        (["--arrival-rate", "1000", "--duration", "1e5"], None, "arrival_rate * duration"),
+        ([], {"sampling_interval": 1e-6}, "duration / sampling_interval"),
+    ],
+)
+def test_unrunnable_inputs_exit_1_instead_of_hanging(tmp_path, flags, config, message):
+    # these inputs once looped forever or ran out of memory, so a subprocess
+    # with a timeout keeps a regression from hanging the suite
+    if config is not None:
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps(config))  # writes NaN as a bare literal
+        flags = [*flags, "--config", str(config_path)]
+    proc = subprocess.run(
+        [sys.executable, "-m", "devine", "run", *flags, "--out-dir", str(tmp_path)],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 1
+    assert "config error:" in proc.stderr and message in proc.stderr
+    assert not (tmp_path / "summary.json").exists()
+
+
 def test_neurovine_message_names_it(capsys):
     assert main(["run", "--algorithm", "neurovine"]) == 1
     err = capsys.readouterr().err

@@ -1,0 +1,143 @@
+"""Property tests: the embedder's fast paths against their slow references.
+
+`map_link` first walks the capacity-blind next-hop table and falls back to
+a breadth-first search only when that walk hits a link that cannot carry
+the demand; `embed` skips virtual nodes whose demand exceeds what is free
+on the inspected node before calling `try_place`.  Both must give exactly
+what the exhaustive path oracle and the plain greedy loop give.
+"""
+
+from __future__ import annotations
+
+import math
+from collections import deque
+from itertools import combinations
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from devine import (
+    LocalEmbedParams,
+    PhysicalLink,
+    PhysicalNetwork,
+    PhysicalNode,
+    ResourceVector,
+    VirtualLink,
+    VirtualNode,
+    Vnr,
+    demand_order,
+    embed,
+    map_link,
+)
+from devine.local_embed import LocalEmbedOutcome, _finish, _Scratch
+from oracles import best_path
+
+amounts = st.integers(min_value=0, max_value=30)
+
+
+@st.composite
+def networks(draw, max_nodes=7):
+    """Random graphs, disconnected ones included, with random residuals."""
+    n = draw(st.integers(min_value=1, max_value=max_nodes))
+    pairs = [pair for pair in combinations(range(n), 2) if draw(st.booleans())]
+    links = []
+    for u, v in pairs:
+        capacity = draw(amounts)
+        residual = draw(st.integers(min_value=0, max_value=capacity))
+        links.append(PhysicalLink(u, v, float(capacity), float(residual)))
+    nodes = [
+        PhysicalNode(i, ResourceVector(draw(amounts), draw(amounts), draw(amounts)))
+        for i in range(n)
+    ]
+    return PhysicalNetwork(nodes, links)
+
+
+@st.composite
+def reservations(draw, net):
+    idxs = st.sampled_from(range(net.num_links)) if net.num_links else st.nothing()
+    return draw(st.dictionaries(idxs, st.integers(0, 20_000), max_size=net.num_links))
+
+
+@st.composite
+def requests(draw, max_nodes=4):
+    n = draw(st.integers(min_value=1, max_value=max_nodes))
+    nodes = [
+        VirtualNode(i, ResourceVector(draw(amounts), draw(amounts), draw(amounts)))
+        for i in range(n)
+    ]
+    links = [
+        VirtualLink(u, v, float(draw(st.integers(0, 20))))
+        for u, v in combinations(range(n), 2)
+        if draw(st.booleans())
+    ]
+    return Vnr(0, nodes, links, 0.0, 1.0)
+
+
+@settings(max_examples=400, deadline=None)
+@given(data=st.data())
+def test_map_link_matches_the_path_oracle(data):
+    net = data.draw(networks())
+    nodes = st.integers(0, net.num_nodes - 1)
+    src, dst = data.draw(nodes), data.draw(nodes)
+    demand_m = data.draw(st.integers(0, 30_000))
+    hop_limit = data.draw(st.integers(0, 6))
+    reserved = data.draw(reservations(net))
+    got = map_link(net, src, dst, demand_m, hop_limit, reserved)
+    assert got == best_path(net, src, dst, demand_m, reserved, max_hops=hop_limit)
+
+
+@settings(max_examples=200, deadline=None)
+@given(net=networks())
+def test_next_hop_walk_is_the_capacity_blind_best_path(net):
+    for dst in range(net.num_nodes):
+        table = net.next_hops(dst)
+        assert table[dst] == dst
+        for src in range(net.num_nodes):
+            path = [src]
+            while path[-1] != dst and table[path[-1]] >= 0:
+                path.append(table[path[-1]])
+            walked = tuple(path) if path[-1] == dst else None
+            assert walked == best_path(net, src, dst, 0)
+    assert net.clone().next_hops(0) == net.next_hops(0)
+
+
+def plain_greedy_embed(root, net, vnr, params):
+    """embed() with its greedy pass as a call to try_place for every remaining vid."""
+    budget = math.ceil(params.alpha * vnr.num_nodes)
+    hop_limit = params.hop_limit()
+    remaining = deque(demand_order(vnr))
+    scratch = _Scratch(net, vnr, params.injective)
+    visited = {root}
+    queue = deque([(root, 0)])
+    inspected = 0
+    max_depth = 0
+    while queue and remaining and inspected < budget:
+        here, depth = queue.popleft()
+        inspected += 1
+        max_depth = max(max_depth, depth)
+        for vid in list(remaining):
+            if scratch.try_place(vid, here, hop_limit):
+                remaining.remove(vid)
+        if depth < params.beta:
+            for nb in net.neighbors(here):
+                if nb not in visited:
+                    visited.add(nb)
+                    queue.append((nb, depth + 1))
+    if remaining:
+        return LocalEmbedOutcome(False, None, inspected, max_depth)
+    return _finish(scratch, params, inspected, max_depth)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_embed_matches_the_plain_greedy_loop(data):
+    net = data.draw(networks())
+    vnr = data.draw(requests())
+    params = LocalEmbedParams(
+        alpha=data.draw(st.sampled_from([0.5, 1.0, 2.0, 30.0])),
+        beta=data.draw(st.integers(0, 3)),
+        path_hop_limit=data.draw(st.none() | st.integers(0, 6)),
+        injective=data.draw(st.booleans()),
+    )
+    root = data.draw(st.integers(0, net.num_nodes - 1))
+    assert embed(root, net, vnr, params) == plain_greedy_embed(root, net, vnr, params)

@@ -37,6 +37,13 @@ def test_config_validation_rejects_bad_values():
         {"resource_floor": 0.0},
         {"max_attempts": 0},
         {"cpu_demand": (10.0, -1.0)},
+        {"link_probability": math.nan},
+        {"arrival_rate": math.inf},
+        {"arrival_rate": math.nan},
+        {"resource_floor": math.inf},
+        {"lifetime_floor": math.nan},
+        {"cpu_demand": (math.nan, 4.0)},
+        {"lifetime": (100.0, math.inf)},
     ):
         with pytest.raises(ValueError):
             GeneratorConfig(**bad).validate()

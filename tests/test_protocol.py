@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -258,6 +259,9 @@ def test_election_requires_ring_or_rng_and_consistent_primary():
         run_election(net, vnr, 0, ElectionParams(leaders=2), ring=LeaderRing((1, 0)))
     with pytest.raises(ValueError):
         ElectionParams(leaders=0).validate()
+    for bad in ({"alpha": math.inf}, {"x": math.nan}, {"y": -math.inf}):
+        with pytest.raises(ValueError, match="finite"):
+            ElectionParams(**bad).validate()
 
 
 class _StallingTransport(FifoTransport):

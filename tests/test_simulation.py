@@ -32,6 +32,18 @@ def test_config_validation():
         _small_cfg(sampling_interval=0.0).validate()
     with pytest.raises(ValueError):
         _small_cfg(trace_sample=-1).validate()
+    for bad in (
+        {"duration": math.nan},
+        {"duration": math.inf},
+        {"sampling_interval": math.nan},
+        {"sampling_interval": math.inf},
+        {"duration": 1e6, "sampling_interval": 0.01},  # 1e8 samples
+        {"duration": 1e7},  # 2e7 expected arrivals at rate 2
+    ):
+        with pytest.raises(ValueError):
+            _small_cfg(**bad).validate()
+    _small_cfg(duration=1e7, sampling_interval=1.0,
+               generator=GeneratorConfig(arrival_rate=1.0)).validate()  # both caps exactly met
 
 
 def test_config_dict_round_trip():
