@@ -2,20 +2,19 @@
 
 A substrate of servers hosts arriving virtual network requests.  Each
 request triggers a ring election among randomly chosen candidate leaders;
-every leader proposes its own bounded breadth-first embedding and the best
-weighted-profit proposal wins and is allocated.  FirstFit, BestFit, and a
-global resource-capacity ranker are included for comparison.
+every leader proposes its own bounded breadth-first embedding, the best
+weighted-profit proposal wins, and the simulation allocates it.  FirstFit,
+BestFit, and a global resource-capacity ranker are included for comparison.
 """
 
 __version__ = "0.1.0"
 
-from .baselines import BaselineKind, ConvergenceError, GrcParams, best_fit, first_fit, grc_embed, grc_rank
+from .baselines import ConvergenceError, GrcParams, best_fit, first_fit, grc_embed, grc_rank
 from .embedding import (
     AllocationError,
     AllocationLedger,
     EmbeddingSolution,
     LedgerError,
-    Violation,
     allocate,
     conservation_violations,
     cost_of,
@@ -41,7 +40,6 @@ from .local_embed import (
     map_link,
 )
 from .model import (
-    SCALE,
     PhysicalLink,
     PhysicalNetwork,
     PhysicalNode,
@@ -54,8 +52,6 @@ from .model import (
 )
 from .protocol import (
     ElectionParams,
-    ElectionResult,
-    ElectionTrace,
     EmbeddedMsg,
     EmbeddingMsg,
     FifoTransport,
@@ -69,78 +65,9 @@ from .protocol import (
 )
 from .simulation import (
     ALGORITHMS,
-    ArrivalRecord,
-    SeriesSample,
     SimConfig,
     SimulationError,
-    SimulationResult,
     build_workload,
     compare_algorithms,
     run_simulation,
 )
-
-__all__ = [
-    "ALGORITHMS",
-    "AllocationError",
-    "AllocationLedger",
-    "ArrivalRecord",
-    "BaselineKind",
-    "ConvergenceError",
-    "ElectionParams",
-    "ElectionResult",
-    "ElectionTrace",
-    "EmbeddedMsg",
-    "EmbeddingMsg",
-    "EmbeddingSolution",
-    "FifoTransport",
-    "GenerationError",
-    "GeneratorConfig",
-    "GrcParams",
-    "INFEASIBLE",
-    "LeaderRing",
-    "LeaderState",
-    "LedgerError",
-    "LocalEmbedOutcome",
-    "LocalEmbedParams",
-    "PhysicalLink",
-    "PhysicalNetwork",
-    "PhysicalNode",
-    "ProtocolError",
-    "ResourceVector",
-    "SCALE",
-    "SeriesSample",
-    "SimConfig",
-    "SimulationError",
-    "SimulationResult",
-    "Violation",
-    "VirtualLink",
-    "VirtualNode",
-    "Vnr",
-    "allocate",
-    "best_fit",
-    "build_workload",
-    "compare_algorithms",
-    "conservation_violations",
-    "cost_of",
-    "demand_order",
-    "draw_positive",
-    "embed",
-    "first_fit",
-    "from_milli",
-    "generate_physical_network",
-    "generate_vnr",
-    "grc_embed",
-    "grc_rank",
-    "handle_embedded",
-    "handle_embedding",
-    "map_link",
-    "metric_of",
-    "release",
-    "revenue_of",
-    "run_election",
-    "run_simulation",
-    "select_leaders",
-    "stream",
-    "to_milli",
-    "verify_solution",
-]

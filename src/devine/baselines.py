@@ -8,18 +8,11 @@ up on the first link that cannot be routed.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
 from .local_embed import LocalEmbedOutcome, LocalEmbedParams, _finish, _Scratch, demand_order
 from .model import PhysicalNetwork, Vnr, require_finite
-
-
-class BaselineKind(str, Enum):
-    FIRST_FIT = "firstfit"
-    BEST_FIT = "bestfit"
-    GRC = "grc"
 
 
 class ConvergenceError(RuntimeError):
@@ -47,13 +40,18 @@ def _greedy_by_choice(
     vnr: Vnr,
     params: LocalEmbedParams,
     choose,
+    order: list[int] | None = None,
 ) -> LocalEmbedOutcome:
-    """Map each queued virtual node to choose()'s pick; any link failure rejects."""
+    """Map each virtual node, in `order` (default: by demand), to choose()'s pick.
+
+    choose(scratch, vid) returns (node or None, nodes scanned); a virtual node
+    with no pick, or a link that cannot be routed, rejects the request.
+    """
     params.validate()
     scratch = _Scratch(net, vnr, params.injective)
     hop_limit = params.hop_limit()
     inspected = 0
-    for vid in demand_order(vnr):
+    for vid in demand_order(vnr) if order is None else order:
         pid, scanned = choose(scratch, vid)
         inspected += scanned
         if pid is None:
@@ -64,19 +62,24 @@ def _greedy_by_choice(
     return _finish(scratch, params, inspected, 0)
 
 
+def _first_fitting(candidates):
+    """choose() that picks the first candidate node the virtual node fits on."""
+
+    def choose(scratch, vid):
+        for scanned, pid in enumerate(candidates, 1):
+            if scratch.node_fits(vid, pid):
+                return pid, scanned
+        return None, len(candidates)
+
+    return choose
+
+
 def first_fit(
     net: PhysicalNetwork, vnr: Vnr, params: LocalEmbedParams | None = None
 ) -> LocalEmbedOutcome:
     """Lowest-id substrate node whose residual fits, links routed as placed."""
     params = params or LocalEmbedParams()
-
-    def choose(scratch, vid):
-        for pid in range(net.num_nodes):
-            if scratch.node_fits(vid, pid):
-                return pid, pid + 1
-        return None, net.num_nodes
-
-    return _greedy_by_choice(net, vnr, params, choose)
+    return _greedy_by_choice(net, vnr, params, _first_fitting(range(net.num_nodes)))
 
 
 def best_fit(
@@ -176,18 +179,4 @@ def grc_embed(
     vnr_rank = _vnr_rank(vnr, grc_params)
     phys_order = sorted(range(net.num_nodes), key=lambda pid: (-net_rank[pid], pid))
     virt_order = sorted(range(vnr.num_nodes), key=lambda vid: (-vnr_rank[vid], vid))
-
-    params.validate()
-    scratch = _Scratch(net, vnr, params.injective)
-    hop_limit = params.hop_limit()
-    inspected = 0
-    for vid in virt_order:
-        chosen = None
-        for pid in phys_order:
-            inspected += 1
-            if scratch.node_fits(vid, pid):
-                chosen = pid
-                break
-        if chosen is None or not scratch.try_place(vid, chosen, hop_limit):
-            return LocalEmbedOutcome(False, None, inspected, 0)
-    return _finish(scratch, params, inspected, 0)
+    return _greedy_by_choice(net, vnr, params, _first_fitting(phys_order), virt_order)

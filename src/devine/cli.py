@@ -115,6 +115,18 @@ def _load_config_file(path: str) -> SimConfig:
         raise ConfigError(f"config {path} is malformed: {exc}") from exc
 
 
+def _validated(cfg: SimConfig) -> SimConfig:
+    if cfg.algorithm == "neurovine":
+        raise ConfigError(
+            "algorithm 'neurovine' is not implemented; see README for the supported set"
+        )
+    try:
+        cfg.validate()
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+    return cfg
+
+
 def resolve_config(args: argparse.Namespace) -> SimConfig:
     """Config file first, then explicit flags on top."""
     cfg = _load_config_file(args.config) if args.config else SimConfig()
@@ -135,22 +147,15 @@ def resolve_config(args: argparse.Namespace) -> SimConfig:
     if gen_updates:
         cfg.generator = replace(cfg.generator, **gen_updates)
     election_updates = {}
-    for flag, field_name in (
-        ("alpha", "alpha"), ("beta", "beta"), ("leaders", "leaders"),
-        ("x", "x"), ("y", "y"),
-    ):
-        value = getattr(args, flag)
+    for name in ("alpha", "beta", "leaders", "x", "y"):
+        value = getattr(args, name)
         if value is not None:
-            election_updates[field_name] = value
+            election_updates[name] = value
     if args.injective is not None:
         election_updates["injective"] = args.injective
     if election_updates:
         cfg.election = replace(cfg.election, **election_updates)
-    try:
-        cfg.validate()
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-    return cfg
+    return _validated(cfg)
 
 
 def _out_dir(args) -> Path:
@@ -218,13 +223,7 @@ def cmd_compare(args) -> int:
     cfg = resolve_config(args)
     algorithms = [a.strip() for a in args.algorithms.split(",") if a.strip()]
     for algorithm in algorithms:
-        if algorithm == "neurovine":
-            raise ConfigError(
-                "algorithm 'neurovine' is not implemented; "
-                "see README for the supported set"
-            )
-        if algorithm not in ALGORITHMS:
-            raise ConfigError(f"unknown algorithm {algorithm!r}; expected one of {ALGORITHMS}")
+        _validated(replace(cfg, algorithm=algorithm))
     if args.seeds:
         try:
             seeds = [int(s) for s in args.seeds.split(",") if s.strip()]
@@ -286,15 +285,6 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         if args.command == "run":
-            if args.algorithm == "neurovine":
-                raise ConfigError(
-                    "algorithm 'neurovine' is not implemented; "
-                    "see README for the supported set"
-                )
-            if args.algorithm is not None and args.algorithm not in ALGORITHMS:
-                raise ConfigError(
-                    f"unknown algorithm {args.algorithm!r}; expected one of {ALGORITHMS}"
-                )
             return cmd_run(args)
         if args.command == "compare":
             return cmd_compare(args)

@@ -8,7 +8,7 @@ deviation via ``second_parameter``.  Draws below the floor are redrawn.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
@@ -68,7 +68,6 @@ class GeneratorConfig:
     resource_floor: float = 0.1
     lifetime_floor: float = 1.0
     max_attempts: int = 100
-    seed: int | None = None
 
     def std_of(self, dist: tuple[float, float]) -> float:
         mean, second = dist
@@ -155,15 +154,9 @@ def _connected_edges(rng, num_nodes, probability, max_attempts) -> list[tuple[in
     )
 
 
-def generate_physical_network(
-    cfg: GeneratorConfig, rng: np.random.Generator | None = None
-) -> PhysicalNetwork:
+def generate_physical_network(cfg: GeneratorConfig, rng: np.random.Generator) -> PhysicalNetwork:
     """Connected substrate with normally distributed capacities."""
     cfg.validate()
-    if rng is None:
-        if cfg.seed is None:
-            raise ValueError("pass an rng or set cfg.seed")
-        rng = stream(cfg.seed, "topology")
     edges = _connected_edges(rng, cfg.server_count, cfg.link_probability, cfg.max_attempts)
     nodes = []
     for node_id in range(cfg.server_count):

@@ -17,7 +17,8 @@ from typing import Callable
 
 import numpy as np
 
-from .embedding import AllocationLedger, EmbeddingSolution, allocate, verify_solution
+# allocate and verify_solution stay importable for benchmarks/layers.py
+from .embedding import EmbeddingSolution, allocate, verify_solution
 from .local_embed import INFEASIBLE, LocalEmbedOutcome, LocalEmbedParams, embed
 from .model import PhysicalNetwork, Vnr
 
@@ -27,31 +28,15 @@ class ProtocolError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class ElectionParams:
-    """Ring size, search caps, and pricing weights for one election."""
+class ElectionParams(LocalEmbedParams):
+    """Every leader's local embedding parameters, plus the ring size."""
 
     leaders: int = 5
-    alpha: float = 30.0
-    beta: int = 3
-    x: float = 1.0
-    y: float = 1.0
-    path_hop_limit: int | None = None
-    injective: bool = False
-
-    def embed_params(self) -> LocalEmbedParams:
-        return LocalEmbedParams(
-            alpha=self.alpha,
-            beta=self.beta,
-            x=self.x,
-            y=self.y,
-            path_hop_limit=self.path_hop_limit,
-            injective=self.injective,
-        )
 
     def validate(self) -> None:
         if self.leaders < 1:
             raise ValueError("leaders must be at least 1")
-        self.embed_params().validate()
+        super().validate()
 
 
 @dataclass(frozen=True)
@@ -113,7 +98,6 @@ class LeaderState:
         self.ring = ring
         self.phase = "idle"  # idle -> electing -> announcing -> done
         self.embed_calls = 0
-        self.final_solution: EmbeddingSolution | None = None
         self._embedder = embedder
         self._outcome: LocalEmbedOutcome | None = None
 
@@ -202,9 +186,6 @@ class FifoTransport:
     def deliver_next(self) -> tuple[int, int, object] | None:
         return self._queue.popleft() if self._queue else None
 
-    def __len__(self) -> int:
-        return len(self._queue)
-
 
 def handle_embedding(
     state: LeaderState, msg: EmbeddingMsg, trace: ElectionTrace | None = None
@@ -219,7 +200,6 @@ def handle_embedding(
         # own proposal survived the full circle: announce the result
         state.phase = "announcing"
         solution = state.outcome().solution
-        state.final_solution = solution
         return [(successor, EmbeddedMsg(msg.request_id, state.node_id, solution, msg.ring))]
     state.phase = "electing"
     if msg.key() > state.key():
@@ -236,11 +216,9 @@ def handle_embedded(
         if trace is not None:
             trace.note_drop(state.node_id, msg)
         return []
-    state.final_solution = msg.solution
-    if msg.winner == state.node_id:
-        state.phase = "done"
-        return []
     state.phase = "done"
+    if msg.winner == state.node_id:
+        return []
     return [(msg.ring.successor(state.node_id), msg)]
 
 
@@ -259,10 +237,9 @@ def select_leaders(
 
 @dataclass
 class ElectionResult:
-    """Outcome of one election: acceptance, winning solution, message trace."""
+    """Outcome of one election: the winner's local embedding and the message trace."""
 
-    accepted: bool
-    solution: EmbeddingSolution | None
+    outcome: LocalEmbedOutcome
     trace: ElectionTrace
     winner: int
     ring: LeaderRing
@@ -277,15 +254,13 @@ def run_election(
     rng: np.random.Generator | None = None,
     ring: LeaderRing | None = None,
     transport: FifoTransport | None = None,
-    ledger: AllocationLedger | None = None,
     embedder: Callable[[int], LocalEmbedOutcome] | None = None,
 ) -> ElectionResult:
-    """Run one full election for a request and allocate the winning solution.
+    """Run one full election for a request and return the winner's embedding.
 
     Every leader computes its local embedding at most once, against the
-    shared network state as it stands at election start.  The winner's
-    solution is re-verified against live residuals before allocation; a
-    stale or infeasible win rejects the request with no mutation.
+    shared network state as it stands at election start.  The election
+    never mutates the network: the caller allocates the winning solution.
     """
     params = params or ElectionParams()
     params.validate()
@@ -295,13 +270,9 @@ def run_election(
         ring = select_leaders(net, primary, params.leaders, rng)
     elif ring.primary != primary:
         raise ProtocolError("ring primary disagrees with the requested primary")
-    if ledger is None:
-        ledger = AllocationLedger()
-
-    embed_params = params.embed_params()
     if embedder is None:
         def embedder(nid: int) -> LocalEmbedOutcome:
-            return embed(nid, net, vnr, embed_params)
+            return embed(nid, net, vnr, params)
 
     states = {
         nid: LeaderState(nid, vnr.request_id, ring, (lambda n=nid: embedder(n)))
@@ -313,8 +284,7 @@ def run_election(
     winner = primary
 
     if len(ring.members) > 1:
-        if transport is None:  # `or` would drop an empty (falsy) transport
-            transport = FifoTransport()
+        transport = transport or FifoTransport()
         first = EmbeddingMsg(vnr.request_id, primary, primary_state.metric(), ring)
         transport.send(primary, ring.successor(primary), first)
         winner = -1
@@ -335,13 +305,4 @@ def run_election(
         if winner < 0 or states[winner].phase != "done":
             raise ProtocolError(f"election for request {vnr.request_id} halted early")
 
-    accepted = False
-    solution = None
-    outcome = states[winner].outcome()
-    if outcome.feasible:
-        candidate = outcome.solution
-        if verify_solution(net, vnr, candidate, injective=params.injective) is None:
-            allocate(net, vnr, candidate, ledger, injective=params.injective)
-            accepted = True
-            solution = candidate
-    return ElectionResult(accepted, solution, trace, winner, ring)
+    return ElectionResult(states[winner].outcome(), trace, winner, ring)

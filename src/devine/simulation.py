@@ -10,10 +10,14 @@ from __future__ import annotations
 import hashlib
 import heapq
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, is_dataclass, replace
+from statistics import median
+from typing import get_args, get_origin, get_type_hints
 
 from .baselines import GrcParams, best_fit, first_fit, grc_embed
+# verify_solution is imported only so benchmarks/layers.py can wrap it here
 from .embedding import (
+    AllocationError,
     AllocationLedger,
     allocate,
     conservation_violations,
@@ -77,67 +81,38 @@ class SimConfig:
             )
 
     def to_dict(self) -> dict:
-        return {
-            "algorithm": self.algorithm,
-            "duration": self.duration,
-            "sampling_interval": self.sampling_interval,
-            "seed": self.seed,
-            "trace_sample": self.trace_sample,
-            "generator": {
-                "server_count": self.generator.server_count,
-                "link_probability": self.generator.link_probability,
-                "cpu_capacity": list(self.generator.cpu_capacity),
-                "memory_capacity": list(self.generator.memory_capacity),
-                "gpu_capacity": list(self.generator.gpu_capacity),
-                "link_bandwidth": list(self.generator.link_bandwidth),
-                "vnr_size": list(self.generator.vnr_size),
-                "vnr_link_probability": self.generator.vnr_link_probability,
-                "cpu_demand": list(self.generator.cpu_demand),
-                "memory_demand": list(self.generator.memory_demand),
-                "gpu_demand": list(self.generator.gpu_demand),
-                "bandwidth_demand": list(self.generator.bandwidth_demand),
-                "lifetime": list(self.generator.lifetime),
-                "arrival_rate": self.generator.arrival_rate,
-                "arrival_process": self.generator.arrival_process,
-                "second_parameter": self.generator.second_parameter,
-                "resource_floor": self.generator.resource_floor,
-                "lifetime_floor": self.generator.lifetime_floor,
-                "max_attempts": self.generator.max_attempts,
-            },
-            "election": {
-                "leaders": self.election.leaders,
-                "alpha": self.election.alpha,
-                "beta": self.election.beta,
-                "x": self.election.x,
-                "y": self.election.y,
-                "path_hop_limit": self.election.path_hop_limit,
-                "injective": self.election.injective,
-            },
-            "grc": {
-                "damping": self.grc.damping,
-                "tolerance": self.grc.tolerance,
-                "max_iterations": self.grc.max_iterations,
-            },
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, data: dict) -> SimConfig:
-        cfg = cls()
-        gen = dict(data.get("generator", {}))
-        for pair_key in (
-            "cpu_capacity", "memory_capacity", "gpu_capacity", "link_bandwidth",
-            "cpu_demand", "memory_demand", "gpu_demand", "bandwidth_demand",
-            "lifetime", "vnr_size",
-        ):
-            if pair_key in gen:
-                gen[pair_key] = tuple(gen[pair_key])
-        cfg.generator = replace(cfg.generator, **gen)
-        cfg.election = replace(cfg.election, **data.get("election", {}))
-        cfg.grc = replace(cfg.grc, **data.get("grc", {}))
-        for key in ("algorithm", "duration", "sampling_interval", "seed", "trace_sample"):
-            if key in data:
-                setattr(cfg, key, data[key])
-        return cfg
+        """Inverse of to_dict; a value that is not of its field's type raises ValueError."""
+        return _checked(cls, data, "config")
+
+
+def _checked(hint, value, name: str):
+    """`value` as the declared type `hint`: dataclasses from objects, pairs as tuples."""
+    if is_dataclass(hint):
+        if not isinstance(value, dict):
+            raise ValueError(f"{name} must be an object, got {value!r}")
+        hints = get_type_hints(hint)
+        unknown = sorted(set(value) - hints.keys())
+        if unknown:
+            raise ValueError(f"unknown {name} keys: {', '.join(unknown)}")
+        return hint(**{k: _checked(hints[k], v, f"{name}.{k}") for k, v in value.items()})
+    if type(None) in get_args(hint):  # `T | None`
+        if value is None:
+            return None
+        (hint,) = [arg for arg in get_args(hint) if arg is not type(None)]
+    if get_origin(hint) is tuple:
+        args = get_args(hint)
+        if not isinstance(value, (list, tuple)) or len(value) != len(args):
+            raise ValueError(f"{name} must be a pair, got {value!r}")
+        return tuple(_checked(arg, item, name) for arg, item in zip(args, value))
+    # an int is a valid float and stays an int, so the written outputs keep its form
+    allowed = (int, float) if hint is float else hint
+    if isinstance(value, bool) != (hint is bool) or not isinstance(value, allowed):
+        raise ValueError(f"{name} must be of type {hint.__name__}, got {value!r}")
+    return value
 
 
 @dataclass
@@ -229,7 +204,6 @@ def run_simulation(cfg: SimConfig) -> SimulationResult:
     workload = build_workload(cfg.generator, cfg.duration, cfg.seed)
     leader_rng = stream(cfg.seed, "leaders")
     ledger = AllocationLedger()
-    embed_params = cfg.election.embed_params()
 
     events: list[tuple[float, int, int, object]] = []
     for when, vnr, primary in workload:
@@ -282,35 +256,32 @@ def run_simulation(cfg: SimConfig) -> SimulationResult:
             continue
         vnr, primary = payload
         arrivals += 1
-        digest.update(vnr.fingerprint().encode())
-        accepted = False
-        solution = None
+        vnr_hash = vnr.fingerprint()
+        digest.update(vnr_hash.encode())
         req_embedding = req_embedded = 0
+        # the embedders are looked up at call time, so benchmarks/layers.py can wrap them
         if cfg.algorithm == "devine":
-            result = run_election(
-                net, vnr, primary, cfg.election, rng=leader_rng, ledger=ledger
-            )
-            accepted = result.accepted
-            solution = result.solution
-            req_embedding = result.trace.embedding_count
-            req_embedded = result.trace.embedded_count
+            election = run_election(net, vnr, primary, cfg.election, rng=leader_rng)
+            outcome = election.outcome
+            req_embedding = election.trace.embedding_count
+            req_embedded = election.trace.embedded_count
             embedding_messages += req_embedding
             embedded_messages += req_embedded
             if len(traces) < cfg.trace_sample:
-                traces.append(result.trace)
+                traces.append(election.trace)
+        elif cfg.algorithm == "firstfit":
+            outcome = first_fit(net, vnr, cfg.election)
+        elif cfg.algorithm == "bestfit":
+            outcome = best_fit(net, vnr, cfg.election)
         else:
-            if cfg.algorithm == "firstfit":
-                outcome = first_fit(net, vnr, embed_params)
-            elif cfg.algorithm == "bestfit":
-                outcome = best_fit(net, vnr, embed_params)
-            else:
-                outcome = grc_embed(net, vnr, cfg.grc, embed_params)
-            if outcome.feasible and verify_solution(
-                net, vnr, outcome.solution, injective=embed_params.injective
-            ) is None:
-                allocate(net, vnr, outcome.solution, ledger, injective=embed_params.injective)
-                accepted = True
-                solution = outcome.solution
+            outcome = grc_embed(net, vnr, cfg.grc, cfg.election)
+        solution = outcome.solution
+        accepted = outcome.feasible
+        if accepted:
+            try:
+                allocate(net, vnr, solution, ledger, injective=cfg.election.injective)
+            except AllocationError:  # the solution no longer fits the live residuals
+                accepted = False
         if accepted:
             acceptances += 1
             revenue += solution.revenue
@@ -322,7 +293,7 @@ def run_simulation(cfg: SimConfig) -> SimulationResult:
             ArrivalRecord(
                 request_id=request_id,
                 time=when,
-                vnr_hash=vnr.fingerprint(),
+                vnr_hash=vnr_hash,
                 accepted=accepted,
                 acceptance_ratio=acceptances / arrivals,
                 revenue=solution.revenue if accepted else 0.0,
@@ -397,13 +368,6 @@ def compare_algorithms(
             digests[algorithm] = result.summary["workload_digest"]
         if len(set(digests.values())) != 1:
             raise SimulationError(f"workload digests diverged for seed {seed}: {digests}")
-
-    def median(values: list[float]) -> float:
-        ordered = sorted(values)
-        mid = len(ordered) // 2
-        if len(ordered) % 2:
-            return ordered[mid]
-        return (ordered[mid - 1] + ordered[mid]) / 2.0
 
     aggregates = []
     for algorithm in algorithms:

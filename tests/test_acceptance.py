@@ -14,7 +14,6 @@ import numpy as np
 from devine import (
     ALGORITHMS,
     INFEASIBLE,
-    AllocationLedger,
     ElectionParams,
     EmbeddingSolution,
     GeneratorConfig,
@@ -90,7 +89,6 @@ def test_criterion_1_message_complexity_bound():
             net, vnr, primary,
             ElectionParams(leaders=leaders),
             ring=ring,
-            ledger=AllocationLedger(),
             embedder=_scripted(metrics, vnr),
         )
         assert result.trace.embedding_count <= 2 * leaders - 1
@@ -118,11 +116,11 @@ def test_criterion_2_election_argmax_oracle():
         frozen = net.clone()
         result = run_election(net, vnr, primary, params, rng=stream(seed, "leaders"))
         best_key = max(
-            (embed(nid, frozen, vnr, params.embed_params()).metric(), -nid)
+            (embed(nid, frozen, vnr, params).metric(), -nid)
             for nid in result.ring.members
         )
         winner_key = (
-            embed(result.winner, frozen, vnr, params.embed_params()).metric(),
+            embed(result.winner, frozen, vnr, params).metric(),
             -result.winner,
         )
         if winner_key != best_key:
@@ -153,7 +151,6 @@ def test_criterion_3_termination_under_ties():
                 net, vnr, primary,
                 ElectionParams(leaders=leaders),
                 ring=ring,
-                ledger=AllocationLedger(),
                 embedder=_scripted(metrics, vnr),
             )
             if result.winner != expected_winner:
@@ -167,7 +164,6 @@ def test_criterion_3_termination_under_ties():
             net, _zero_vnr(), primary,
             ElectionParams(leaders=leaders),
             ring=ring,
-            ledger=AllocationLedger(),
         )
         if result.winner != expected_winner:
             failures.append(f"L={leaders} real: winner {result.winner}")

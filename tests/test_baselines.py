@@ -111,8 +111,8 @@ def test_link_routing_failure_rejects_the_whole_request(baseline):
 
 @pytest.mark.parametrize("baseline", ALL_BASELINES)
 def test_baselines_do_not_mutate_the_network(baseline):
-    cfg = GeneratorConfig(server_count=10, link_probability=0.5, seed=2)
-    net = generate_physical_network(cfg)
+    cfg = GeneratorConfig(server_count=10, link_probability=0.5)
+    net = generate_physical_network(cfg, stream(2, "topology"))
     before = residual_snapshot(net)
     nodes = [VirtualNode(i, ResourceVector(5.0, 5.0, 5.0)) for i in range(3)]
     vnr = Vnr(0, nodes, [VirtualLink(0, 1, 3.0), VirtualLink(1, 2, 3.0)], 0.0, 5.0)

@@ -161,6 +161,17 @@ def test_config_errors_exit_1(tmp_path, capsys):
         ["compare", "--algorithms", "devine", "--seeds", "1,x", "--out-dir", str(tmp_path)],
         ["validate", "--config", str(tmp_path / "missing.json")],
     ]
+    mistyped = [
+        {"duration": "100"},
+        {"generator": {"server_count": 20.5}},
+        {"seed": 1.5},
+        {"election": {"injective": "yes"}},
+        {"trace_sample": True},
+    ]
+    for i, config in enumerate(mistyped):
+        config_path = tmp_path / f"mistyped{i}.json"
+        config_path.write_text(json.dumps(config))
+        cases.append(["run", "--config", str(config_path), "--out-dir", str(tmp_path)])
     for argv in cases:
         assert main(argv) == 1, argv
         assert "config error:" in capsys.readouterr().err

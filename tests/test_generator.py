@@ -87,8 +87,8 @@ def test_draw_positive_gives_up_on_hopeless_floor():
 
 
 def test_physical_network_shape_and_floors():
-    cfg = GeneratorConfig(server_count=30, seed=9)
-    net = generate_physical_network(cfg)
+    cfg = GeneratorConfig(server_count=30)
+    net = generate_physical_network(cfg, stream(9, "topology"))
     assert len(net.nodes) == 30
     assert [n.id for n in net.nodes] == list(range(30))
     assert net.is_connected()
@@ -109,22 +109,22 @@ def test_physical_link_count_tracks_edge_probability():
     sigma = math.sqrt(pairs * p * (1 - p))
     counts = []
     for seed in range(20):
-        cfg = GeneratorConfig(server_count=30, link_probability=p, seed=seed)
-        counts.append(len(generate_physical_network(cfg).links))
+        cfg = GeneratorConfig(server_count=30, link_probability=p)
+        counts.append(len(generate_physical_network(cfg, stream(seed, "topology")).links))
     assert mean - 4 * sigma < np.mean(counts) < mean + 4 * sigma
 
 
 def test_default_scale_link_count_within_binomial_band():
     # 100 choose 2 = 4950 pairs at p = 0.4: mean 1980, sigma ~ 34.5
-    cfg = GeneratorConfig(server_count=100, link_probability=0.4, seed=12)
-    links = len(generate_physical_network(cfg).links)
+    cfg = GeneratorConfig(server_count=100, link_probability=0.4)
+    links = len(generate_physical_network(cfg, stream(12, "topology")).links)
     sigma = math.sqrt(4950 * 0.4 * 0.6)
     assert abs(links - 1980) < 3 * sigma
 
 
 def test_full_probability_gives_the_complete_graph():
-    cfg = GeneratorConfig(server_count=5, link_probability=1.0, seed=7)
-    net = generate_physical_network(cfg)
+    cfg = GeneratorConfig(server_count=5, link_probability=1.0)
+    net = generate_physical_network(cfg, stream(7, "topology"))
     assert len(net.links) == 10
 
 
@@ -153,14 +153,14 @@ def test_generated_cpu_demand_mean_matches_monte_carlo_oracle():
 
 
 def test_disconnected_probability_raises():
-    cfg = GeneratorConfig(server_count=5, link_probability=0.0, max_attempts=5, seed=1)
+    cfg = GeneratorConfig(server_count=5, link_probability=0.0, max_attempts=5)
     with pytest.raises(GenerationError):
-        generate_physical_network(cfg)
+        generate_physical_network(cfg, stream(1, "topology"))
 
 
 def test_single_server_network_has_no_links():
-    cfg = GeneratorConfig(server_count=1, link_probability=0.0, seed=3)
-    net = generate_physical_network(cfg)
+    cfg = GeneratorConfig(server_count=1, link_probability=0.0)
+    net = generate_physical_network(cfg, stream(3, "topology"))
     assert len(net.nodes) == 1
     assert net.links == []
     assert net.is_connected()

@@ -230,8 +230,8 @@ def test_embed_greedy_skips_misfits_and_keeps_scanning():
 
 
 def test_embed_never_mutates_the_network():
-    cfg = GeneratorConfig(server_count=12, link_probability=0.4, seed=4)
-    net = generate_physical_network(cfg)
+    cfg = GeneratorConfig(server_count=12, link_probability=0.4)
+    net = generate_physical_network(cfg, stream(4, "topology"))
     before = residual_snapshot(net)
     vnr_rng = stream(4, "vnr")
     for request_id in range(20):

@@ -4,14 +4,20 @@ from dataclasses import replace
 import pytest
 
 from devine import (
+    ALGORITHMS,
     ElectionParams,
     GeneratorConfig,
+    PhysicalLink,
+    PhysicalNetwork,
+    PhysicalNode,
     SimConfig,
     SimulationError,
     build_workload,
     compare_algorithms,
     run_simulation,
+    verify_solution,
 )
+from devine import embedding, protocol, simulation
 
 
 def _small_cfg(algorithm="devine", **kw):
@@ -223,3 +229,63 @@ def test_more_leaders_do_not_hurt_acceptance():
         return (ordered[4] + ordered[5]) / 2
 
     assert median_acceptance(12) >= median_acceptance(1) - 0.02
+
+
+def test_every_feasible_outcome_is_verified_exactly_once(monkeypatch):
+    # allocate verifies; nothing else on the admission path may verify again
+    verified = [0]
+    real_verify = embedding.verify_solution
+
+    def counting_verify(*args, **kwargs):
+        verified[0] += 1
+        return real_verify(*args, **kwargs)
+
+    for module in (embedding, protocol, simulation):
+        monkeypatch.setattr(module, "verify_solution", counting_verify)
+    feasible = [0]
+
+    def counting(embedder, outcome_of=lambda result: result):
+        def wrapped(*args, **kwargs):
+            result = embedder(*args, **kwargs)
+            feasible[0] += outcome_of(result).feasible
+            return result
+        return wrapped
+
+    monkeypatch.setattr(
+        simulation, "run_election",
+        counting(simulation.run_election, lambda election: election.outcome),
+    )
+    for name in ("first_fit", "best_fit", "grc_embed"):
+        monkeypatch.setattr(simulation, name, counting(getattr(simulation, name)))
+    for algorithm in ALGORITHMS:
+        verified[0] = feasible[0] = 0
+        summary = run_simulation(_small_cfg(algorithm=algorithm)).summary
+        assert summary["acceptances"] > 0, algorithm
+        assert verified[0] == feasible[0], algorithm
+
+
+def test_stale_solution_is_rejected_at_allocate(monkeypatch):
+    # the patched firstfit embeds on an empty copy of the substrate, so once
+    # its first nodes fill up its solutions no longer fit the live residuals
+    real_first_fit = simulation.first_fit
+    stale = set()
+
+    def stale_first_fit(net, vnr, params):
+        empty = PhysicalNetwork(
+            [PhysicalNode(n.id, n.capacity) for n in net.nodes],
+            [PhysicalLink(l.u, l.v, l.bandwidth_capacity) for l in net.links],
+        )
+        outcome = real_first_fit(empty, vnr, params)
+        if outcome.feasible and verify_solution(net, vnr, outcome.solution) is not None:
+            stale.add(vnr.request_id)
+        return outcome
+
+    monkeypatch.setattr(simulation, "first_fit", stale_first_fit)
+    result = run_simulation(_small_cfg(algorithm="firstfit"))
+    assert stale
+    for record in result.per_arrival:
+        if record.request_id in stale:
+            assert not record.accepted
+            assert (record.revenue, record.cost, record.metric) == (0.0, 0.0, 0.0)
+    assert result.summary["acceptances"] > 0
+    assert result.summary["conservation_ok"] is True
