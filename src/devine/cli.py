@@ -107,7 +107,9 @@ def _load_config_file(path: str) -> SimConfig:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
-    if "config" in data and isinstance(data["config"], dict):
+    if not isinstance(data, dict):
+        raise ConfigError(f"config {path} must hold a JSON object, not {type(data).__name__}")
+    if isinstance(data.get("config"), dict):
         data = data["config"]  # accept a manifest produced by an earlier run
     try:
         return SimConfig.from_dict(data)

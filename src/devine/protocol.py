@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Callable
 
 import numpy as np
@@ -64,10 +64,8 @@ class LeaderRing:
 class EmbeddingMsg:
     """Circulating proposal: who claims the best embedding so far."""
 
-    request_id: int
     originator: int
     metric: float  # -inf when the originator found no feasible embedding
-    ring: LeaderRing
 
     def key(self) -> tuple[float, int]:
         return (self.metric, -self.originator)
@@ -77,69 +75,41 @@ class EmbeddingMsg:
 class EmbeddedMsg:
     """Final announcement: the winner and its solution (None if infeasible)."""
 
-    request_id: int
     winner: int
     solution: EmbeddingSolution | None
-    ring: LeaderRing
 
 
 class LeaderState:
     """One leader's view of a single election."""
 
-    def __init__(
-        self,
-        node_id: int,
-        request_id: int,
-        ring: LeaderRing,
-        embedder: Callable[[], LocalEmbedOutcome],
-    ):
+    def __init__(self, node_id: int, ring: LeaderRing, embedder: Callable[[], LocalEmbedOutcome]):
         self.node_id = node_id
-        self.request_id = request_id
         self.ring = ring
-        self.phase = "idle"  # idle -> electing -> announcing -> done
-        self.embed_calls = 0
         self._embedder = embedder
         self._outcome: LocalEmbedOutcome | None = None
 
     def outcome(self) -> LocalEmbedOutcome:
         """Local embedding, computed at most once per election."""
         if self._outcome is None:
-            self.embed_calls += 1
             self._outcome = self._embedder()
         return self._outcome
 
-    def metric(self) -> float:
-        return self.outcome().metric()
-
-    def key(self) -> tuple[float, int]:
-        return (self.metric(), -self.node_id)
+    def proposal(self) -> EmbeddingMsg:
+        """This leader's own claim, built from its local embedding."""
+        return EmbeddingMsg(self.node_id, self.outcome().metric())
 
 
 @dataclass
 class TraceEvent:
-    """One transported message (or dropped delivery) in an election."""
+    """One transported message in an election."""
 
     seq: int
     request_id: int
-    kind: str  # EMBEDDING | EMBEDDED | DROP
+    kind: str  # EMBEDDING | EMBEDDED
     sender: int
     receiver: int
     subject: int  # originator for EMBEDDING, winner for EMBEDDED
-    metric: float | None
-
-    def to_json_dict(self) -> dict:
-        metric = self.metric
-        if metric is not None and metric == INFEASIBLE:
-            metric = None
-        return {
-            "seq": self.seq,
-            "request_id": self.request_id,
-            "kind": self.kind,
-            "sender": self.sender,
-            "receiver": self.receiver,
-            "subject": self.subject,
-            "metric": metric,
-        }
+    metric: float | None  # None when infeasible
 
 
 class ElectionTrace:
@@ -160,18 +130,14 @@ class ElectionTrace:
             subject = msg.winner
             metric = msg.solution.metric if msg.solution is not None else None
             self.embedded_count += 1
+        if metric == INFEASIBLE:
+            metric = None
         self.events.append(
             TraceEvent(len(self.events), self.request_id, kind, sender, receiver, subject, metric)
         )
 
-    def note_drop(self, receiver: int, msg) -> None:
-        subject = msg.originator if isinstance(msg, EmbeddingMsg) else msg.winner
-        self.events.append(
-            TraceEvent(len(self.events), self.request_id, "DROP", -1, receiver, subject, None)
-        )
-
     def to_jsonl(self) -> str:
-        return "\n".join(json.dumps(e.to_json_dict(), sort_keys=True) for e in self.events)
+        return "\n".join(json.dumps(asdict(e), sort_keys=True) for e in self.events)
 
 
 class FifoTransport:
@@ -187,39 +153,21 @@ class FifoTransport:
         return self._queue.popleft() if self._queue else None
 
 
-def handle_embedding(
-    state: LeaderState, msg: EmbeddingMsg, trace: ElectionTrace | None = None
-) -> list[tuple[int, object]]:
+def handle_embedding(state: LeaderState, msg: EmbeddingMsg) -> list[tuple[int, object]]:
     """React to a circulating proposal; returns (receiver, message) sends."""
-    if msg.request_id != state.request_id:
-        if trace is not None:
-            trace.note_drop(state.node_id, msg)
-        return []
-    successor = msg.ring.successor(state.node_id)
+    successor = state.ring.successor(state.node_id)
     if msg.originator == state.node_id:
         # own proposal survived the full circle: announce the result
-        state.phase = "announcing"
-        solution = state.outcome().solution
-        return [(successor, EmbeddedMsg(msg.request_id, state.node_id, solution, msg.ring))]
-    state.phase = "electing"
-    if msg.key() > state.key():
-        return [(successor, msg)]
-    takeover = EmbeddingMsg(msg.request_id, state.node_id, state.metric(), msg.ring)
-    return [(successor, takeover)]
+        return [(successor, EmbeddedMsg(state.node_id, state.outcome().solution))]
+    own = state.proposal()
+    return [(successor, msg if msg.key() > own.key() else own)]
 
 
-def handle_embedded(
-    state: LeaderState, msg: EmbeddedMsg, trace: ElectionTrace | None = None
-) -> list[tuple[int, object]]:
+def handle_embedded(state: LeaderState, msg: EmbeddedMsg) -> list[tuple[int, object]]:
     """React to the final announcement; the winner absorbs it, others forward."""
-    if msg.request_id != state.request_id:
-        if trace is not None:
-            trace.note_drop(state.node_id, msg)
-        return []
-    state.phase = "done"
     if msg.winner == state.node_id:
         return []
-    return [(msg.ring.successor(state.node_id), msg)]
+    return [(state.ring.successor(state.node_id), msg)]
 
 
 def select_leaders(
@@ -274,35 +222,25 @@ def run_election(
         def embedder(nid: int) -> LocalEmbedOutcome:
             return embed(nid, net, vnr, params)
 
-    states = {
-        nid: LeaderState(nid, vnr.request_id, ring, (lambda n=nid: embedder(n)))
-        for nid in ring.members
-    }
+    states = {nid: LeaderState(nid, ring, (lambda n=nid: embedder(n))) for nid in ring.members}
     trace = ElectionTrace(vnr.request_id)
-    primary_state = states[primary]
-    primary_state.phase = "electing"
     winner = primary
 
     if len(ring.members) > 1:
         transport = transport or FifoTransport()
-        first = EmbeddingMsg(vnr.request_id, primary, primary_state.metric(), ring)
-        transport.send(primary, ring.successor(primary), first)
-        winner = -1
-        while True:
-            delivery = transport.deliver_next()
-            if delivery is None:
-                break
+        transport.send(primary, ring.successor(primary), states[primary].proposal())
+        while (delivery := transport.deliver_next()) is not None:
             sender, receiver, msg = delivery
             trace.record_message(sender, receiver, msg)
-            state = states[receiver]
             if isinstance(msg, EmbeddingMsg):
-                sends = handle_embedding(state, msg, trace)
+                sends = handle_embedding(states[receiver], msg)
             else:
                 winner = msg.winner
-                sends = handle_embedded(state, msg, trace)
+                sends = handle_embedded(states[receiver], msg)
             for to, outgoing in sends:
                 transport.send(receiver, to, outgoing)
-        if winner < 0 or states[winner].phase != "done":
+        # the announcement halts at the winner once it has reached every leader
+        if trace.embedded_count != len(ring.members):
             raise ProtocolError(f"election for request {vnr.request_id} halted early")
 
     return ElectionResult(states[winner].outcome(), trace, winner, ring)

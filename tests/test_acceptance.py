@@ -4,9 +4,11 @@ Each test covers one numbered criterion and prints a single
 "criterion N: PASS/FAIL" line with the measured evidence.
 """
 
+import csv
 import json
 import math
 import time
+from collections import Counter, defaultdict
 from dataclasses import replace
 
 import numpy as np
@@ -101,6 +103,44 @@ def test_criterion_1_message_complexity_bound():
         1, ok,
         f"{elections} elections respected EMBEDDING <= 2L-1 and EMBEDDED == L "
         f"in {elapsed:.2f}s (< 10s)",
+    )
+
+
+def test_criterion_1_holds_on_every_written_election(tmp_path):
+    # the same bound, read from the artifacts of a real run alone: every
+    # election is traced, and L is the number of leaders the announcement reached
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"trace_sample": 1_000_000}))
+    out = tmp_path / "out"
+    assert cli_main([
+        "run", "--config", str(config), "--servers", "20", "--duration", "60",
+        "--leaders", "6", "--seed", "3", "--out-dir", str(out),
+    ]) == 0
+    elections = defaultdict(list)
+    for line in (out / "trace.jsonl").read_text().splitlines():
+        event = json.loads(line)
+        elections[event["request_id"]].append(event)
+    with open(out / "per_arrival.csv", newline="") as fh:
+        rows = {int(row["request_id"]): row for row in csv.DictReader(fh)}
+    broken = []
+    for request_id, events in elections.items():
+        kinds = Counter(event["kind"] for event in events)
+        leaders = len({event["receiver"] for event in events if event["kind"] == "EMBEDDED"})
+        row = rows[request_id]
+        if not (
+            kinds["EMBEDDING"] <= 2 * leaders - 1
+            and kinds["EMBEDDED"] == leaders
+            and [event["seq"] for event in events] == list(range(len(events)))
+            and int(row["embedding_messages"]) == kinds["EMBEDDING"]
+            and int(row["embedded_messages"]) == kinds["EMBEDDED"]
+        ):
+            broken.append(request_id)
+    ok = bool(elections) and set(elections) == set(rows) and not broken
+    assert _verdict(
+        1, ok,
+        f"{len(elections)} of {len(rows)} arrivals traced in trace.jsonl; "
+        f"{len(broken)} break EMBEDDING <= 2L-1, EMBEDDED == L, seq order "
+        "or the per_arrival.csv counts",
     )
 
 

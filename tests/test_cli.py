@@ -74,7 +74,7 @@ def test_run_writes_all_artifacts(tmp_path, capsys):
 
     trace_lines = (tmp_path / "trace.jsonl").read_text().splitlines()
     assert trace_lines
-    assert {json.loads(line)["kind"] for line in trace_lines} <= {"EMBEDDING", "EMBEDDED", "DROP"}
+    assert {json.loads(line)["kind"] for line in trace_lines} <= {"EMBEDDING", "EMBEDDED"}
 
 
 def test_baseline_run_skips_the_trace_file(tmp_path):
@@ -172,6 +172,10 @@ def test_config_errors_exit_1(tmp_path, capsys):
         config_path = tmp_path / f"mistyped{i}.json"
         config_path.write_text(json.dumps(config))
         cases.append(["run", "--config", str(config_path), "--out-dir", str(tmp_path)])
+    for name, text in (("number.json", "5"), ("null.json", "null")):
+        config_path = tmp_path / name  # valid JSON, but not an object
+        config_path.write_text(text)
+        cases.append(["validate", "--config", str(config_path)])
     for argv in cases:
         assert main(argv) == 1, argv
         assert "config error:" in capsys.readouterr().err

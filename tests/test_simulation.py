@@ -289,3 +289,14 @@ def test_stale_solution_is_rejected_at_allocate(monkeypatch):
             assert (record.revenue, record.cost, record.metric) == (0.0, 0.0, 0.0)
     assert result.summary["acceptances"] > 0
     assert result.summary["conservation_ok"] is True
+
+
+def test_leaky_release_breaks_conservation(monkeypatch):
+    # a release that forgets the ledger entry but keeps its resources held
+    # leaves residuals below capacity once every request has left
+    def leaky_release(net, request_id, ledger):
+        ledger.entries.pop(request_id)
+
+    monkeypatch.setattr(simulation, "release", leaky_release)
+    with pytest.raises(SimulationError, match="conservation broken"):
+        run_simulation(_small_cfg(algorithm="firstfit"))
