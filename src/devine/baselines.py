@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .local_embed import LocalEmbedOutcome, LocalEmbedParams, _finish, _Scratch, demand_order
-from .model import PhysicalNetwork, Vnr, require_finite
+from .model import PhysicalNetwork, Vnr, endpoint_arrays, require_finite
 
 
 class ConvergenceError(RuntimeError):
@@ -106,38 +106,33 @@ def best_fit(
 
 def _power_rank(
     weights: np.ndarray,
-    edges: list[tuple[int, int, int]],
+    u: np.ndarray,
+    v: np.ndarray,
+    w: np.ndarray,
     params: GrcParams,
 ) -> np.ndarray:
     """Damped fixed point r = (1-d)*c + d*T*r on an undirected weighted graph.
 
-    c is `weights` normalized to sum 1; column j of T spreads over j's
-    neighbors proportionally to edge weight, or uniformly when all of j's
-    incident weight is zero (keeps T column-stochastic, so ranks sum to 1).
+    The graph's edges are (u[i], v[i]) with weight w[i], at most one per
+    node pair.  c is `weights` normalized to sum 1; column j of T spreads
+    over j's neighbors proportionally to edge weight, or uniformly when all
+    of j's incident weight is zero (keeps T column-stochastic, so ranks sum
+    to 1).
     """
     n = len(weights)
     total = weights.sum()
     c = np.full(n, 1.0 / n) if total <= 0 else weights / total
     if n == 1:
         return c.copy()
+    # weights are whole milli-units, so these sums are exact in any order
+    col_sums = np.bincount(u, w, n) + np.bincount(v, w, n)
+    degree = np.bincount(u, minlength=n) + np.bincount(v, minlength=n)
+    # a drained column holds 1/degree for each neighbor instead of w/col_sum
+    drained = col_sums == 0
+    col_sums[drained] = degree[drained]
     transition = np.zeros((n, n))
-    for u, v, w in edges:
-        transition[u, v] += w
-        transition[v, u] += w
-    col_sums = transition.sum(axis=0)
-    degree = np.zeros(n)
-    for u, v, _ in edges:
-        degree[u] += 1
-        degree[v] += 1
-    for j in range(n):
-        if col_sums[j] > 0:
-            transition[:, j] /= col_sums[j]
-        elif degree[j] > 0:
-            for u, v, _ in edges:
-                if u == j:
-                    transition[v, j] = 1.0 / degree[j]
-                elif v == j:
-                    transition[u, j] = 1.0 / degree[j]
+    transition[v, u] = np.where(drained[u], 1.0, w) / col_sums[u]
+    transition[u, v] = np.where(drained[v], 1.0, w) / col_sums[v]
     d = params.damping
     rank = c.copy()
     for _ in range(params.max_iterations):
@@ -155,14 +150,16 @@ def grc_rank(net: PhysicalNetwork, params: GrcParams | None = None) -> np.ndarra
     params = params or GrcParams()
     params.validate()
     weights = np.array([n.residual.cpu_m for n in net.nodes], dtype=float)
-    edges = [(l.u, l.v, l.bw_residual_m) for l in net.links]
-    return _power_rank(weights, edges, params)
+    u, v = net.link_endpoints()
+    w = np.array([l.bw_residual_m for l in net.links], dtype=float)
+    return _power_rank(weights, u, v, w, params)
 
 
 def _vnr_rank(vnr: Vnr, params: GrcParams) -> np.ndarray:
     weights = np.array([n.demand.cpu_m for n in vnr.nodes], dtype=float)
-    edges = [(l.u, l.v, l.bw_demand_m) for l in vnr.links]
-    return _power_rank(weights, edges, params)
+    u, v = endpoint_arrays(vnr.links)
+    w = np.array([l.bw_demand_m for l in vnr.links], dtype=float)
+    return _power_rank(weights, u, v, w, params)
 
 
 def grc_embed(

@@ -58,13 +58,18 @@ class LocalEmbedOutcome:
 
 
 def demand_order(vnr: Vnr) -> list[int]:
-    """Virtual node ids by descending cpu+memory+gpu+incident bandwidth, ties by id."""
-    def key(vid: int):
-        demand = vnr.nodes[vid].demand
-        total = demand.cpu_m + demand.memory_m + demand.gpu_m
-        return (-(total + vnr.incident_bandwidth_m(vid)), vid)
+    """Virtual node ids by descending cpu+memory+gpu+incident bandwidth, ties by id.
 
-    return sorted(range(vnr.num_nodes), key=key)
+    Sorted once per request and kept on it, since every leader asks.
+    """
+    if vnr.demand_order_memo is None:
+        def key(vid: int):
+            demand = vnr.nodes[vid].demand
+            total = demand.cpu_m + demand.memory_m + demand.gpu_m
+            return (-(total + vnr.incident_bandwidth_m(vid)), vid)
+
+        vnr.demand_order_memo = tuple(sorted(range(vnr.num_nodes), key=key))
+    return list(vnr.demand_order_memo)
 
 
 def map_link(
@@ -95,8 +100,8 @@ def map_link(
 
     # First try the capacity-blind shortest path.  Capacity only removes
     # links, so no feasible path is shorter: if it is too long or missing,
-    # nothing fits.  If every hop carries the demand it is the answer the
-    # search below would give, since the feasible shortest paths are among
+    # nothing fits.  If every hop carries the demand it is the answer
+    # _search would give, since the feasible shortest paths are among
     # the capacity-blind ones and the walk yields the smallest of those.
     hops = net.next_hops(dst)
     path = [src]
@@ -112,7 +117,22 @@ def map_link(
         here = nxt
     if not blocked:
         return tuple(path)
+    # a path leaves src and enters dst, so each needs a link that carries the demand
+    if not any(map(usable, adjacency[src].values())) or not any(
+        map(usable, adjacency[dst].values())
+    ):
+        return None
+    return _search(net, src, dst, hop_limit, usable)
 
+
+def _search(
+    net: PhysicalNetwork, src: int, dst: int, hop_limit: int, usable
+) -> tuple[int, ...] | None:
+    """Shortest path over usable links by breadth-first search, or None.
+
+    Ties go to the lexicographically smallest node sequence.
+    """
+    adjacency = net.adjacency
     # breadth-first levels from dst so the greedy walk below can descend
     dist = {dst: 0}
     frontier = [dst]

@@ -12,6 +12,8 @@ import math
 from collections import deque
 from dataclasses import dataclass, field
 
+import numpy as np
+
 SCALE = 1000  # fixed-point denominator, 3 decimal places
 
 
@@ -168,6 +170,15 @@ def _build_adjacency(num_nodes: int, links) -> list[dict[int, int]]:
     return adjacency
 
 
+def endpoint_arrays(links) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only intp arrays of each link's u and v, by link index."""
+    u = np.array([link.u for link in links], dtype=np.intp)
+    v = np.array([link.v for link in links], dtype=np.intp)
+    u.flags.writeable = False
+    v.flags.writeable = False
+    return u, v
+
+
 def _connected(num_nodes: int, adjacency) -> bool:
     if num_nodes <= 1:
         return True
@@ -196,6 +207,7 @@ class PhysicalNetwork:
         # built one destination at a time on first use: building all of them
         # here would charge every destination to network setup
         self._next_hops: list[list[int] | None] = [None] * len(nodes)
+        self._endpoints: tuple[np.ndarray, np.ndarray] | None = None
 
     @property
     def num_nodes(self) -> int:
@@ -242,6 +254,12 @@ class PhysicalNetwork:
                 frontier = sorted(reached)
             self._next_hops[dst] = table
         return table
+
+    def link_endpoints(self) -> tuple[np.ndarray, np.ndarray]:
+        """Endpoint arrays (u, v) of every link; built once, the topology is static."""
+        if self._endpoints is None:
+            self._endpoints = endpoint_arrays(self.links)
+        return self._endpoints
 
     def is_connected(self) -> bool:
         return _connected(self.num_nodes, self.adjacency)
@@ -314,6 +332,8 @@ class Vnr:
         self.arrival_time = arrival_time
         self.lifetime = lifetime
         self.adjacency = _build_adjacency(len(nodes), links)
+        # filled by local_embed.demand_order; a request is not mutated after construction
+        self.demand_order_memo: tuple[int, ...] | None = None
 
     @property
     def num_nodes(self) -> int:

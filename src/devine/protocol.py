@@ -227,11 +227,17 @@ def run_election(
     winner = primary
 
     if len(ring.members) > 1:
+        # a correct ring delivers at most 2L-1 EMBEDDING and L EMBEDDED messages
+        max_deliveries = 3 * len(ring.members) - 1
         transport = transport or FifoTransport()
         transport.send(primary, ring.successor(primary), states[primary].proposal())
         while (delivery := transport.deliver_next()) is not None:
             sender, receiver, msg = delivery
             trace.record_message(sender, receiver, msg)
+            if len(trace.events) > max_deliveries:
+                raise ProtocolError(
+                    f"election for request {vnr.request_id} exceeded {max_deliveries} deliveries"
+                )
             if isinstance(msg, EmbeddingMsg):
                 sends = handle_embedding(states[receiver], msg)
             else:

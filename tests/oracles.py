@@ -1,13 +1,18 @@
 """Independent brute-force reference implementations used only by tests.
 
 These deliberately share no search logic with the package: path finding is
-exhaustive DFS over simple paths, and feasibility is exhaustive enumeration
-over all node mappings and all per-link path assignments.
+exhaustive DFS over simple paths, feasibility is exhaustive enumeration
+over all node mappings and all per-link path assignments, and the GRC
+transition matrix is built entry by entry from an edge list.
 """
 
 from __future__ import annotations
 
 from itertools import product
+
+import numpy as np
+
+from devine import ConvergenceError
 
 
 def simple_paths(net, src, dst, bw_demand_m, reserved=None, max_hops=None):
@@ -109,3 +114,46 @@ def residual_snapshot(net):
     )
     links = tuple(l.bw_residual_m for l in net.links)
     return nodes, links
+
+
+def power_rank(weights, edges, params):
+    """GRC rank from (u, v, weight) edge tuples, the transition matrix built by loops.
+
+    Damped fixed point r = (1-d)*c + d*T*r on an undirected weighted graph.
+    c is `weights` normalized to sum 1; column j of T spreads over j's
+    neighbors proportionally to edge weight, or uniformly when all of j's
+    incident weight is zero (keeps T column-stochastic, so ranks sum to 1).
+    """
+    n = len(weights)
+    total = weights.sum()
+    c = np.full(n, 1.0 / n) if total <= 0 else weights / total
+    if n == 1:
+        return c.copy()
+    transition = np.zeros((n, n))
+    for u, v, w in edges:
+        transition[u, v] += w
+        transition[v, u] += w
+    col_sums = transition.sum(axis=0)
+    degree = np.zeros(n)
+    for u, v, _ in edges:
+        degree[u] += 1
+        degree[v] += 1
+    for j in range(n):
+        if col_sums[j] > 0:
+            transition[:, j] /= col_sums[j]
+        elif degree[j] > 0:
+            for u, v, _ in edges:
+                if u == j:
+                    transition[v, j] = 1.0 / degree[j]
+                elif v == j:
+                    transition[u, j] = 1.0 / degree[j]
+    d = params.damping
+    rank = c.copy()
+    for _ in range(params.max_iterations):
+        updated = (1.0 - d) * c + d * (transition @ rank)
+        if np.max(np.abs(updated - rank)) < params.tolerance:
+            return updated
+        rank = updated
+    raise ConvergenceError(
+        f"rank iteration did not reach {params.tolerance} within {params.max_iterations} steps"
+    )

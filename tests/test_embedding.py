@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from devine import (
     AllocationError,
     AllocationLedger,
     EmbeddingSolution,
+    GeneratorConfig,
     LedgerError,
     PhysicalLink,
     PhysicalNetwork,
@@ -16,9 +19,13 @@ from devine import (
     allocate,
     conservation_violations,
     cost_of,
+    first_fit,
+    generate_physical_network,
+    generate_vnr,
     metric_of,
     release,
     revenue_of,
+    stream,
     verify_solution,
 )
 from oracles import residual_snapshot
@@ -236,3 +243,50 @@ def test_conservation_replay_against_independent_accounting():
             assert net.nodes[pid].residual.cpu_m == expected_cpu[pid]
         for link_idx in range(5):
             assert net.links[link_idx].bw_residual_m == expected_bw[link_idx]
+
+
+# small servers and links, so a few requests saturate them
+TIGHT = GeneratorConfig(
+    server_count=6,
+    link_probability=0.5,
+    cpu_capacity=(40.0, 100.0),
+    memory_capacity=(200.0, 400.0),
+    gpu_capacity=(40.0, 100.0),
+    link_bandwidth=(30.0, 100.0),
+    vnr_size=(1, 3),
+)
+
+
+def _residuals(net):
+    nodes, links = residual_snapshot(net)
+    return [amount for node in nodes for amount in node] + list(links)
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2**16), steps=st.lists(st.integers(0, 7), min_size=1, max_size=30))
+def test_release_gives_back_exactly_what_allocate_took(seed, steps):
+    # a step below 3 releases a live request (picked by the step), any other
+    # step allocates a new request wherever first_fit puts it
+    net = generate_physical_network(TIGHT, stream(seed, "topology"))
+    initial = _residuals(net)
+    draws = stream(seed, "vnr")
+    ledger = AllocationLedger()
+    taken: dict[int, list[int]] = {}  # request id -> what its allocate took
+    for request_id, step in enumerate(steps):
+        before = _residuals(net)
+        if step < 3 and taken:
+            victim = sorted(taken)[step % len(taken)]
+            release(net, victim, ledger)
+            assert [a - b for a, b in zip(_residuals(net), before)] == taken.pop(victim)
+        else:
+            vnr = generate_vnr(TIGHT, request_id, 0.0, draws)
+            outcome = first_fit(net, vnr)
+            if not outcome.feasible:
+                continue
+            allocate(net, vnr, outcome.solution, ledger)
+            taken[request_id] = [a - b for a, b in zip(before, _residuals(net))]
+        assert conservation_violations(net, ledger) == []
+    for request_id in list(taken):
+        release(net, request_id, ledger)
+    assert _residuals(net) == initial
+    assert conservation_violations(net, ledger) == []

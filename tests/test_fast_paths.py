@@ -1,10 +1,12 @@
-"""Property tests: the embedder's fast paths against their slow references.
+"""Property tests: the fast paths against their slow references.
 
-`map_link` first walks the capacity-blind next-hop table and falls back to
-a breadth-first search only when that walk hits a link that cannot carry
-the demand; `embed` skips virtual nodes whose demand exceeds what is free
-on the inspected node before calling `try_place`.  Both must give exactly
-what the exhaustive path oracle and the plain greedy loop give.
+`map_link` first walks the capacity-blind next-hop table; when that walk
+hits a link that cannot carry the demand it gives up if either endpoint has
+no link that can, and only then runs a breadth-first search.  `embed` skips
+virtual nodes whose demand exceeds what is free on the inspected node
+before calling `try_place`.  GRC builds its transition matrix from edge
+arrays.  Each must give exactly what the exhaustive path oracle, the plain
+greedy loop and the loop-built rank give.
 """
 
 from __future__ import annotations
@@ -12,11 +14,14 @@ from __future__ import annotations
 import math
 from collections import deque
 from itertools import combinations
+from unittest import mock
 
-from hypothesis import given, settings
+import numpy as np
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from devine import (
+    GrcParams,
     LocalEmbedParams,
     PhysicalLink,
     PhysicalNetwork,
@@ -27,10 +32,13 @@ from devine import (
     Vnr,
     demand_order,
     embed,
+    grc_rank,
+    local_embed,
     map_link,
 )
+from devine.baselines import _vnr_rank
 from devine.local_embed import LocalEmbedOutcome, _finish, _Scratch
-from oracles import best_path
+from oracles import best_path, power_rank
 
 amounts = st.integers(min_value=0, max_value=30)
 
@@ -82,8 +90,24 @@ def test_map_link_matches_the_path_oracle(data):
     demand_m = data.draw(st.integers(0, 30_000))
     hop_limit = data.draw(st.integers(0, 6))
     reserved = data.draw(reservations(net))
-    got = map_link(net, src, dst, demand_m, hop_limit, reserved)
+    # leave no free bandwidth on any link of the chosen endpoints
+    for end in data.draw(st.sampled_from(((), (src,), (dst,), (src, dst)))):
+        for idx in net.adjacency[end].values():
+            reserved[idx] = net.links[idx].bw_residual_m
+
+    def carries(idx):
+        return net.links[idx].bw_residual_m - reserved.get(idx, 0) >= demand_m
+
+    cut_off = src != dst and any(
+        not any(map(carries, net.adjacency[end].values())) for end in (src, dst)
+    )
+    with mock.patch.object(local_embed, "_search", wraps=local_embed._search) as search:
+        got = map_link(net, src, dst, demand_m, hop_limit, reserved)
     assert got == best_path(net, src, dst, demand_m, reserved, max_hops=hop_limit)
+    if cut_off:
+        # an endpoint no path can leave or enter is settled without a search
+        assert got is None
+        assert not search.called
 
 
 @settings(max_examples=200, deadline=None)
@@ -141,3 +165,47 @@ def test_embed_matches_the_plain_greedy_loop(data):
     )
     root = data.draw(st.integers(0, net.num_nodes - 1))
     assert embed(root, net, vnr, params) == plain_greedy_embed(root, net, vnr, params)
+
+
+def _grc_net(cpus, links):
+    nodes = [PhysicalNode(i, ResourceVector(cpu, 1, 1)) for i, cpu in enumerate(cpus)]
+    return PhysicalNetwork(nodes, [PhysicalLink(u, v, 30.0, bw) for u, v, bw in links])
+
+
+@st.composite
+def rank_networks(draw, max_nodes=8):
+    """Random graphs whose node and link weights are often zero."""
+    n = draw(st.integers(min_value=1, max_value=max_nodes))
+    cpus = [draw(st.sampled_from((0, 1, 3, 30))) for _ in range(n)]
+    links = [
+        (u, v, draw(st.sampled_from((0, 0, 1, 5, 30))))
+        for u, v in combinations(range(n), 2)
+        if draw(st.booleans())
+    ]
+    return _grc_net(cpus, links)
+
+
+@settings(max_examples=400, deadline=None)
+@given(net=rank_networks(), damping=st.sampled_from((0.0, 0.5, 0.85)))
+@example(net=_grc_net([30], []), damping=0.85)  # a single node
+@example(net=_grc_net([1, 3, 30], []), damping=0.85)  # edgeless
+@example(net=_grc_net([0, 0, 0], [(0, 1, 5), (1, 2, 1)]), damping=0.85)  # zero node weights
+@example(net=_grc_net([1, 3, 30, 1], [(0, 1, 0), (0, 2, 0), (2, 3, 5)]), damping=0.85)  # drained
+@example(net=_grc_net([1, 3, 30, 1], [(1, 3, 0), (0, 1, 5)]), damping=0.85)  # isolated node 2
+def test_power_rank_matches_the_loop_built_reference(net, damping):
+    params = GrcParams(damping=damping)
+    weights = np.array([n.residual.cpu_m for n in net.nodes], dtype=float)
+    edges = [(l.u, l.v, l.bw_residual_m) for l in net.links]
+    assert grc_rank(net, params).tobytes() == power_rank(weights, edges, params).tobytes()
+
+    # the same graph read as a request: cpu demands and bandwidth demands
+    vnr = Vnr(
+        0,
+        [VirtualNode(n.id, n.residual) for n in net.nodes],
+        [VirtualLink(l.u, l.v, l.bandwidth_residual) for l in net.links],
+    )
+    assert _vnr_rank(vnr, params).tobytes() == power_rank(weights, edges, params).tobytes()
+
+    u, v = net.clone().link_endpoints()
+    assert u.tolist() == [l.u for l in net.links]
+    assert v.tolist() == [l.v for l in net.links]

@@ -51,6 +51,9 @@ def test_demand_order_sorts_by_total_demand_then_id():
     ]
     links = [VirtualLink(0, 1, 4.0), VirtualLink(1, 2, 1.0)]
     vnr = Vnr(0, nodes, links, 0.0, 1.0)
+    order = demand_order(vnr)
+    assert order == [1, 0, 2]
+    order.reverse()  # each call hands out its own copy of the kept order
     assert demand_order(vnr) == [1, 0, 2]
 
     twins = Vnr(

@@ -31,6 +31,7 @@ from devine import (
     select_leaders,
     stream,
 )
+from devine import protocol
 from oracles import residual_snapshot
 
 
@@ -258,6 +259,27 @@ def test_stalled_transport_raises_instead_of_hanging():
             ElectionParams(leaders=5),
             ring=LeaderRing((0, 1, 2, 3, 4)),
             transport=_StallingTransport(3),
+            embedder=_stub_embedder({nid: 1.0 for nid in range(5)}, vnr, {}),
+        )
+
+
+def test_announcement_forwarded_past_the_winner_raises_instead_of_hanging(monkeypatch):
+    ring = LeaderRing((0, 1, 2, 3, 4))
+    forwarded = []
+
+    def faulty_handle_embedded(state, msg):
+        # the winner forwards its own announcement instead of absorbing it
+        forwarded.append(state.node_id)
+        assert len(forwarded) < 100, "the election did not stop"
+        return [(state.ring.successor(state.node_id), msg)]
+
+    monkeypatch.setattr(protocol, "handle_embedded", faulty_handle_embedded)
+    vnr = _one_node_vnr()
+    with pytest.raises(ProtocolError, match="exceeded 14 deliveries"):
+        run_election(
+            _line_net(5), vnr, 0,
+            ElectionParams(leaders=5),
+            ring=ring,
             embedder=_stub_embedder({nid: 1.0 for nid in range(5)}, vnr, {}),
         )
 
