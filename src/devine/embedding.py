@@ -31,29 +31,6 @@ class EmbeddingSolution:
     cost: float
     metric: float
 
-    def to_json_dict(self) -> dict:
-        return {
-            "request_id": self.request_id,
-            "node_mapping": {str(k): v for k, v in sorted(self.node_mapping.items())},
-            "path_mapping": {
-                str(k): list(v) for k, v in sorted(self.path_mapping.items())
-            },
-            "revenue": self.revenue,
-            "cost": self.cost,
-            "metric": self.metric,
-        }
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> EmbeddingSolution:
-        return cls(
-            request_id=data["request_id"],
-            node_mapping={int(k): v for k, v in data["node_mapping"].items()},
-            path_mapping={int(k): tuple(v) for k, v in data["path_mapping"].items()},
-            revenue=data["revenue"],
-            cost=data["cost"],
-            metric=data["metric"],
-        )
-
 
 @dataclass(frozen=True)
 class Violation:

@@ -10,7 +10,6 @@ backtracking, so a failed request is simply reported infeasible.
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
 
 from .embedding import EmbeddingSolution, cost_of, metric_of, revenue_of
@@ -133,23 +132,8 @@ def _search(
     Ties go to the lexicographically smallest node sequence.
     """
     adjacency = net.adjacency
-    # breadth-first levels from dst so the greedy walk below can descend
-    dist = {dst: 0}
-    frontier = [dst]
-    level = 0
-    found = False
-    while frontier and level < hop_limit and not found:
-        level += 1
-        nxt = []
-        for here in frontier:
-            for nb, link_idx in adjacency[here].items():
-                if nb not in dist and usable(link_idx):
-                    dist[nb] = level
-                    if nb == src:
-                        found = True
-                    nxt.append(nb)
-        frontier = nxt
-    if not found:
+    dist = _levels(adjacency, src, dst, hop_limit, usable)
+    if dist is None:
         return None
 
     # lexicographically smallest shortest path: always step to the
@@ -167,6 +151,30 @@ def _search(
         path.append(nxt)
         here = nxt
     return tuple(path)
+
+
+def _levels(adjacency, src: int, dst: int, hop_limit: int, usable) -> dict[int, int] | None:
+    """Hop distance to dst over usable links, for every node up to src's level.
+
+    Levels are filled breadth-first from dst and the fill stops the moment
+    src gets its level: the descent from src reads only lower levels, and
+    those are complete by then.  None if src is not within hop_limit.
+    """
+    dist = {dst: 0}
+    frontier = [dst]
+    for level in range(1, hop_limit + 1):
+        reached = []
+        for here in frontier:
+            for nb, link_idx in adjacency[here].items():
+                if nb not in dist and usable(link_idx):
+                    dist[nb] = level
+                    if nb == src:
+                        return dist
+                    reached.append(nb)
+        if not reached:
+            return None
+        frontier = reached
+    return None
 
 
 class _Scratch:
@@ -251,48 +259,57 @@ def embed(
 
     budget = math.ceil(params.alpha * vnr.num_nodes)
     hop_limit = params.hop_limit()
-    remaining = deque(demand_order(vnr))
+    remaining = demand_order(vnr)
+    demands = [(n.demand.cpu_m, n.demand.memory_m, n.demand.gpu_m) for n in vnr.nodes]
+    least = _least_demand(demands, remaining)
     scratch = _Scratch(net, vnr, params.injective)
 
-    visited = {root}
-    queue = deque([(root, 0)])
+    walk = net.walk(root)
+    order = walk.order
     inspected = 0
     max_depth = 0
-    while queue and remaining and inspected < budget:
-        here, depth = queue.popleft()
+    while remaining and inspected < budget:
+        if inspected == len(order) and not walk.grow():
+            break
+        here, depth = order[inspected]
+        if depth > params.beta:
+            break
         inspected += 1
-        if depth > max_depth:
-            max_depth = depth
+        max_depth = depth  # the walk never goes back up a level
+        # Each node is inspected once per embed, so nothing is tentatively
+        # placed here yet and the live residual is what is free.  A server
+        # below the least remaining demand in any resource fits nothing.
+        residual = net.nodes[here].residual
+        free_cpu = residual.cpu_m
+        free_memory = residual.memory_m
+        free_gpu = residual.gpu_m
+        if free_cpu < least[0] or free_memory < least[1] or free_gpu < least[2]:
+            continue
         # front-to-back greedy pass: skip individual misfits, keep scanning.
         # A demand above what is free here would fail node_fits inside
         # try_place, so it is skipped without the call.
-        residual = net.nodes[here].residual
-        used = scratch.node_usage.get(here, (0, 0, 0))
-        free_cpu = residual.cpu_m - used[0]
-        free_memory = residual.memory_m - used[1]
-        free_gpu = residual.gpu_m - used[2]
+        placed = False
         for vid in list(remaining):
-            demand = vnr.nodes[vid].demand
-            if (
-                demand.cpu_m > free_cpu
-                or demand.memory_m > free_memory
-                or demand.gpu_m > free_gpu
-            ):
+            cpu_m, memory_m, gpu_m = demands[vid]
+            if cpu_m > free_cpu or memory_m > free_memory or gpu_m > free_gpu:
                 continue
             if scratch.try_place(vid, here, hop_limit):
                 remaining.remove(vid)
-                free_cpu -= demand.cpu_m
-                free_memory -= demand.memory_m
-                free_gpu -= demand.gpu_m
-        if depth < params.beta:
-            for nb in net.neighbors(here):
-                if nb not in visited:
-                    visited.add(nb)
-                    queue.append((nb, depth + 1))
+                free_cpu -= cpu_m
+                free_memory -= memory_m
+                free_gpu -= gpu_m
+                placed = True
+        if placed and remaining:
+            least = _least_demand(demands, remaining)
 
     if remaining:
         return LocalEmbedOutcome(False, None, inspected, max_depth)
     return _finish(scratch, params, inspected, max_depth)
+
+
+def _least_demand(demands, vids: list[int]) -> tuple[int, ...]:
+    """Smallest cpu, memory and gpu demand among vids, each taken on its own."""
+    return tuple(map(min, zip(*(demands[vid] for vid in vids))))
 
 
 def _finish(

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import hashlib
 import math
-from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -34,7 +33,7 @@ def require_finite(**values: float) -> None:
 
 
 class ResourceVector:
-    """Non-negative (cpu, memory, gpu) amounts with fixed-point arithmetic."""
+    """Non-negative (cpu, memory, gpu) amounts in fixed-point milli-units."""
 
     __slots__ = ("cpu_m", "memory_m", "gpu_m")
 
@@ -67,22 +66,6 @@ class ResourceVector:
     def gpu(self) -> float:
         return self.gpu_m / SCALE
 
-    def __add__(self, other: ResourceVector) -> ResourceVector:
-        return ResourceVector.from_milli_units(
-            self.cpu_m + other.cpu_m,
-            self.memory_m + other.memory_m,
-            self.gpu_m + other.gpu_m,
-        )
-
-    def __sub__(self, other: ResourceVector) -> ResourceVector:
-        # going negative is an error, never a clamp
-        cpu_m = self.cpu_m - other.cpu_m
-        memory_m = self.memory_m - other.memory_m
-        gpu_m = self.gpu_m - other.gpu_m
-        if min(cpu_m, memory_m, gpu_m) < 0:
-            raise ValueError(f"subtraction would go negative: {self!r} - {other!r}")
-        return ResourceVector.from_milli_units(cpu_m, memory_m, gpu_m)
-
     def fits_within(self, other: ResourceVector) -> bool:
         """Componentwise self <= other."""
         return (
@@ -90,9 +73,6 @@ class ResourceVector:
             and self.memory_m <= other.memory_m
             and self.gpu_m <= other.gpu_m
         )
-
-    def is_zero(self) -> bool:
-        return self.cpu_m == 0 and self.memory_m == 0 and self.gpu_m == 0
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, ResourceVector):
@@ -102,9 +82,6 @@ class ResourceVector:
             and self.memory_m == other.memory_m
             and self.gpu_m == other.gpu_m
         )
-
-    def __hash__(self) -> int:
-        return hash((self.cpu_m, self.memory_m, self.gpu_m))
 
     def __repr__(self) -> str:
         return f"ResourceVector(cpu={self.cpu}, memory={self.memory}, gpu={self.gpu})"
@@ -147,9 +124,6 @@ class PhysicalLink:
     def bandwidth_residual(self) -> float:
         return self.bw_residual_m / SCALE
 
-    def endpoints(self) -> tuple[int, int]:
-        return (self.u, self.v)
-
     def __repr__(self) -> str:
         return (
             f"PhysicalLink({self.u}, {self.v}, bandwidth={self.bandwidth_capacity}, "
@@ -179,18 +153,45 @@ def endpoint_arrays(links) -> tuple[np.ndarray, np.ndarray]:
     return u, v
 
 
+class Walk:
+    """Breadth-first order of (node, depth) pairs from one root, grown on demand.
+
+    Each node's neighbors are queued in the order `neighbors` lists them.
+    Given ascending ids, as `PhysicalNetwork.walk` gives them, the pairs of
+    depth <= beta are, in order, what a FIFO search capped at beta visits.
+    """
+
+    __slots__ = ("order", "_seen", "_expanded", "_neighbors")
+
+    def __init__(self, root: int, neighbors):
+        self.order: list[tuple[int, int]] = [(root, 0)]
+        self._seen = bytearray(len(neighbors))
+        self._seen[root] = 1
+        self._expanded = 0  # order[:_expanded] have had their neighbors queued
+        self._neighbors = neighbors
+
+    def grow(self) -> bool:
+        """Append at least one more pair; False when the root's component is exhausted."""
+        order = self.order
+        seen = self._seen
+        start = len(order)
+        while len(order) == start and self._expanded < start:
+            here, depth = order[self._expanded]
+            self._expanded += 1
+            for nb in self._neighbors[here]:
+                if not seen[nb]:
+                    seen[nb] = 1
+                    order.append((nb, depth + 1))
+        return len(order) > start
+
+
 def _connected(num_nodes: int, adjacency) -> bool:
     if num_nodes <= 1:
         return True
-    seen = {0}
-    frontier = deque([0])
-    while frontier:
-        here = frontier.popleft()
-        for nb in adjacency[here]:
-            if nb not in seen:
-                seen.add(nb)
-                frontier.append(nb)
-    return len(seen) == num_nodes
+    walk = Walk(0, adjacency)
+    while walk.grow():
+        pass
+    return len(walk.order) == num_nodes
 
 
 class PhysicalNetwork:
@@ -207,6 +208,7 @@ class PhysicalNetwork:
         # built one destination at a time on first use: building all of them
         # here would charge every destination to network setup
         self._next_hops: list[list[int] | None] = [None] * len(nodes)
+        self._walks: list[Walk | None] = [None] * len(nodes)
         self._endpoints: tuple[np.ndarray, np.ndarray] | None = None
 
     @property
@@ -223,10 +225,6 @@ class PhysicalNetwork:
 
     def link_index(self, u: int, v: int) -> int | None:
         return self.adjacency[u].get(v)
-
-    def link_between(self, u: int, v: int) -> PhysicalLink | None:
-        idx = self.adjacency[u].get(v)
-        return None if idx is None else self.links[idx]
 
     def next_hops(self, dst: int) -> list[int]:
         """Capacity-blind shortest-path steps towards dst.
@@ -254,6 +252,13 @@ class PhysicalNetwork:
                 frontier = sorted(reached)
             self._next_hops[dst] = table
         return table
+
+    def walk(self, root: int) -> Walk:
+        """Breadth-first walk from root, shared by every caller; the topology is static."""
+        walk = self._walks[root]
+        if walk is None:
+            walk = self._walks[root] = Walk(root, self._neighbors)
+        return walk
 
     def link_endpoints(self) -> tuple[np.ndarray, np.ndarray]:
         """Endpoint arrays (u, v) of every link; built once, the topology is static."""
@@ -298,9 +303,6 @@ class VirtualLink:
     @property
     def bandwidth_demand(self) -> float:
         return self.bw_demand_m / SCALE
-
-    def endpoints(self) -> tuple[int, int]:
-        return (self.u, self.v)
 
     def __repr__(self) -> str:
         return f"VirtualLink({self.u}, {self.v}, bandwidth={self.bandwidth_demand})"

@@ -99,14 +99,6 @@ def test_cost_requires_a_path_per_link():
         cost_of(vnr, sol)
 
 
-def test_solution_json_round_trip():
-    vnr = _pair_vnr()
-    sol = _solution(vnr, {0: 0, 1: 2}, {0: (0, 1, 2)})
-    again = EmbeddingSolution.from_json_dict(sol.to_json_dict())
-    assert again == sol
-    assert again.path_mapping[0] == (0, 1, 2)
-
-
 def test_verify_reports_violations_in_fixed_order():
     net = _line_net()
     vnr = _pair_vnr()

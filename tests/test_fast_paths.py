@@ -2,11 +2,13 @@
 
 `map_link` first walks the capacity-blind next-hop table; when that walk
 hits a link that cannot carry the demand it gives up if either endpoint has
-no link that can, and only then runs a breadth-first search.  `embed` skips
-virtual nodes whose demand exceeds what is free on the inspected node
-before calling `try_place`.  GRC builds its transition matrix from edge
-arrays.  Each must give exactly what the exhaustive path oracle, the plain
-greedy loop and the loop-built rank give.
+no link that can, and only then runs a breadth-first search, which stops as
+soon as src gets its level.  `embed` reads a breadth-first walk that the
+network caches per root across calls, skips servers below the least
+remaining demand, and skips virtual nodes whose demand exceeds what is free
+on the inspected node before calling `try_place`.  GRC builds its
+transition matrix from edge arrays.  Each must give exactly what the
+exhaustive path oracle, the plain greedy loop and the loop-built rank give.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from devine import (
+    AllocationLedger,
     GrcParams,
     LocalEmbedParams,
     PhysicalLink,
@@ -30,11 +33,13 @@ from devine import (
     VirtualLink,
     VirtualNode,
     Vnr,
+    allocate,
     demand_order,
     embed,
     grc_rank,
     local_embed,
     map_link,
+    release,
 )
 from devine.baselines import _vnr_rank
 from devine.local_embed import LocalEmbedOutcome, _finish, _Scratch
@@ -67,7 +72,7 @@ def reservations(draw, net):
 
 
 @st.composite
-def requests(draw, max_nodes=4):
+def requests(draw, max_nodes=4, request_id=0):
     n = draw(st.integers(min_value=1, max_value=max_nodes))
     nodes = [
         VirtualNode(i, ResourceVector(draw(amounts), draw(amounts), draw(amounts)))
@@ -78,7 +83,7 @@ def requests(draw, max_nodes=4):
         for u, v in combinations(range(n), 2)
         if draw(st.booleans())
     ]
-    return Vnr(0, nodes, links, 0.0, 1.0)
+    return Vnr(request_id, nodes, links, 0.0, 1.0)
 
 
 @settings(max_examples=400, deadline=None)
@@ -152,19 +157,88 @@ def plain_greedy_embed(root, net, vnr, params):
     return _finish(scratch, params, inspected, max_depth)
 
 
+def _embed_and_keep(net, ledger, live, root, vnr, params):
+    """Check one embed against the plain loop, then allocate it, keeping two live."""
+    outcome = embed(root, net, vnr, params)
+    assert outcome == plain_greedy_embed(root, net, vnr, params)
+    if outcome.feasible:
+        allocate(net, vnr, outcome.solution, ledger, injective=params.injective)
+        live.append(vnr.request_id)
+        if len(live) > 2:
+            release(net, live.pop(0), ledger)
+    return outcome
+
+
 @settings(max_examples=300, deadline=None)
 @given(data=st.data())
 def test_embed_matches_the_plain_greedy_loop(data):
+    # several embeds on one network, so later ones read the walks earlier ones cached
     net = data.draw(networks())
-    vnr = data.draw(requests())
-    params = LocalEmbedParams(
-        alpha=data.draw(st.sampled_from([0.5, 1.0, 2.0, 30.0])),
-        beta=data.draw(st.integers(0, 3)),
-        path_hop_limit=data.draw(st.none() | st.integers(0, 6)),
-        injective=data.draw(st.booleans()),
+    ledger = AllocationLedger()
+    live: list[int] = []
+    for rid in range(data.draw(st.integers(1, 6))):
+        vnr = data.draw(requests(request_id=rid))
+        params = LocalEmbedParams(
+            alpha=data.draw(st.sampled_from([0.5, 1.0, 2.0, 30.0])),
+            beta=data.draw(st.integers(0, 3)),
+            path_hop_limit=data.draw(st.none() | st.integers(0, 6)),
+            injective=data.draw(st.booleans()),
+        )
+        root = data.draw(st.integers(0, net.num_nodes - 1))
+        _embed_and_keep(net, ledger, live, root, vnr, params)
+
+
+def test_cached_walks_serve_every_root_and_depth_across_calls():
+    # component 0-5: the direct link 1-3 is too thin for the request's link, so
+    # routing between 1 and 3 takes the detour 1-0-2-3; node 0 has almost no
+    # cpu.  Component 6-7: node 6 has nothing free at all.
+    caps = [(1, 50, 50)] + [(20, 50, 50)] * 5 + [(0, 0, 0), (20, 50, 50)]
+    net = PhysicalNetwork(
+        [PhysicalNode(i, ResourceVector(*cap)) for i, cap in enumerate(caps)],
+        [
+            PhysicalLink(u, v, bw)
+            for u, v, bw in [
+                (0, 1, 100), (0, 2, 100), (1, 3, 1), (2, 3, 100),
+                (3, 4, 100), (4, 5, 100), (6, 7, 100),
+            ]
+        ],
     )
-    root = data.draw(st.integers(0, net.num_nodes - 1))
-    assert embed(root, net, vnr, params) == plain_greedy_embed(root, net, vnr, params)
+    kinds = [
+        # two nodes that cannot share a server, joined by a 10-unit link
+        lambda rid: Vnr(
+            rid,
+            [VirtualNode(i, ResourceVector(12, 10, 10)) for i in range(2)],
+            [VirtualLink(0, 1, 10.0)],
+        ),
+        # a node that demands nothing: it fits even on node 6
+        lambda rid: Vnr(rid, [VirtualNode(0, ResourceVector(0, 0, 0))], []),
+        lambda rid: Vnr(rid, [VirtualNode(0, ResourceVector(8, 10, 10))], []),
+    ]
+    ledger = AllocationLedger()
+    live: list[int] = []
+    paths = set()
+    rid = 0
+    # 6's component has eccentricity 1 and node 3's is 2, so the deeper calls
+    # run past the end of the walk
+    for root in (1, 0, 3, 6, 5, 0):
+        for beta in range(4):  # shallow first, then deeper on the same walk
+            for make in kinds:
+                params = LocalEmbedParams(alpha=2.0, beta=beta)
+                outcome = _embed_and_keep(net, ledger, live, root, make(rid), params)
+                if outcome.feasible:
+                    paths.update(outcome.solution.path_mapping.values())
+                rid += 1
+    assert (1, 0, 2, 3) in paths  # the detour only the level search finds
+    twin = net.clone()
+    for root in range(net.num_nodes):
+        full = twin.walk(root)
+        assert full.order == [(root, 0)]  # a clone starts without cached walks
+        while full.grow():
+            pass
+        cached = net.walk(root).order
+        assert cached == full.order[: len(cached)]
+    assert net.walk(6).order == [(6, 0), (7, 1)]
+    assert len(net.walk(0).order) < len(twin.walk(0).order)  # grown only as far as read
 
 
 def _grc_net(cpus, links):

@@ -1,4 +1,3 @@
-import numpy as np
 import pytest
 
 from devine import (
@@ -35,23 +34,6 @@ def test_resource_vector_rejects_negative():
         ResourceVector.from_milli_units(1, -1, 0)
 
 
-def test_resource_vector_add_sub_exact_round_trip():
-    rng = np.random.default_rng(7)
-    for _ in range(1000):
-        a = ResourceVector.from_milli_units(*(int(x) for x in rng.integers(0, 10**9, 3)))
-        b = ResourceVector.from_milli_units(*(int(x) for x in rng.integers(0, 10**9, 3)))
-        total = a + b
-        assert total - b == a
-        assert total - a == b
-
-
-def test_resource_vector_sub_refuses_negative():
-    a = ResourceVector(cpu=1.0)
-    b = ResourceVector(cpu=1.001)
-    with pytest.raises(ValueError):
-        a - b
-
-
 def test_resource_vector_fits_within():
     small = ResourceVector(cpu=1, memory=2, gpu=3)
     big = ResourceVector(cpu=1, memory=2, gpu=3.001)
@@ -60,11 +42,10 @@ def test_resource_vector_fits_within():
     assert not big.fits_within(small)
 
 
-def test_resource_vector_equality_and_hash():
+def test_resource_vector_equality():
     assert ResourceVector(1, 2, 3) == ResourceVector(1.0, 2.0, 3.0)
-    assert hash(ResourceVector(1, 2, 3)) == hash(ResourceVector(1, 2, 3))
-    assert ResourceVector() .is_zero()
-    assert not ResourceVector(0.001).is_zero()
+    assert ResourceVector() == ResourceVector.from_milli_units(0, 0, 0)
+    assert ResourceVector(0.001) != ResourceVector()
 
 
 def test_physical_node_residual_defaults_to_capacity():
@@ -76,7 +57,7 @@ def test_physical_node_residual_defaults_to_capacity():
 
 def test_physical_link_normalizes_and_validates():
     link = PhysicalLink(5, 2, 100.0)
-    assert link.endpoints() == (2, 5)
+    assert (link.u, link.v) == (2, 5)
     assert link.bw_capacity_m == 100000
     assert link.bandwidth_residual == 100.0
     with pytest.raises(ValueError):
@@ -106,7 +87,7 @@ def test_network_adjacency_and_lookup():
     assert net.neighbors(0) == [1, 2]
     assert net.neighbors(1) == [0, 2]
     assert net.link_index(0, 1) == net.link_index(1, 0) == 0
-    assert net.link_between(1, 2).bandwidth_capacity == 60.0
+    assert net.links[net.link_index(2, 1)].bandwidth_capacity == 60.0
     assert net.link_index(0, 0) is None
 
 
