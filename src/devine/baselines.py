@@ -87,19 +87,20 @@ def best_fit(
 ) -> LocalEmbedOutcome:
     """Fitting substrate node with maximum effective residual CPU, ties by id."""
     params = params or LocalEmbedParams()
+    # what each node has free, less the demand this request placed on it so far
+    free = np.array([net.cpu_free, net.memory_free, net.gpu_free], dtype=np.int64)
 
     def choose(scratch, vid):
-        best_pid = None
-        best_cpu = -1
-        for pid in range(net.num_nodes):
-            if not scratch.node_fits(vid, pid):
-                continue
-            used = scratch.node_usage.get(pid)
-            cpu_m = net.nodes[pid].residual.cpu_m - (used[0] if used else 0)
-            if cpu_m > best_cpu:
-                best_cpu = cpu_m
-                best_pid = pid
-        return best_pid, net.num_nodes
+        demand = vnr.nodes[vid].demand
+        fits = (free[0] >= demand.cpu_m) & (free[1] >= demand.memory_m) & (free[2] >= demand.gpu_m)
+        if params.injective:
+            fits[list(scratch.placement.values())] = False
+        if not fits.any():
+            return None, net.num_nodes
+        pid = int(np.where(fits, free[0], -1).argmax())  # the first maximum: ties by id
+        # a pick is placed or the request is rejected, so the column can move now
+        free[:, pid] -= (demand.cpu_m, demand.memory_m, demand.gpu_m)
+        return pid, net.num_nodes
 
     return _greedy_by_choice(net, vnr, params, choose)
 
@@ -149,9 +150,9 @@ def grc_rank(net: PhysicalNetwork, params: GrcParams | None = None) -> np.ndarra
     """Global resource-capacity rank of substrate nodes (sums to 1)."""
     params = params or GrcParams()
     params.validate()
-    weights = np.array([n.residual.cpu_m for n in net.nodes], dtype=float)
+    weights = np.array(net.cpu_free, dtype=float)
     u, v = net.link_endpoints()
-    w = np.array([l.bw_residual_m for l in net.links], dtype=float)
+    w = np.array(net.bw_free, dtype=float)
     return _power_rank(weights, u, v, w, params)
 
 
@@ -174,6 +175,7 @@ def grc_embed(
     params = params or LocalEmbedParams()
     net_rank = grc_rank(net, grc_params)
     vnr_rank = _vnr_rank(vnr, grc_params)
-    phys_order = sorted(range(net.num_nodes), key=lambda pid: (-net_rank[pid], pid))
-    virt_order = sorted(range(vnr.num_nodes), key=lambda vid: (-vnr_rank[vid], vid))
+    # a stable sort of the negated ranks orders by rank, ties by id
+    phys_order = np.argsort(-net_rank, kind="stable").tolist()
+    virt_order = np.argsort(-vnr_rank, kind="stable").tolist()
     return _greedy_by_choice(net, vnr, params, _first_fitting(phys_order), virt_order)

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .model import PhysicalNetwork, ResourceVector, Vnr, from_milli
+from .model import PhysicalNetwork, Vnr, from_milli
 
 
 class AllocationError(RuntimeError):
@@ -98,10 +98,10 @@ def verify_solution(
         load[0] += demand.cpu_m
         load[1] += demand.memory_m
         load[2] += demand.gpu_m
+    cpu_free, memory_free, gpu_free = net.cpu_free, net.memory_free, net.gpu_free
     for pid in sorted(node_load):
-        residual = net.nodes[pid].residual
         cpu_m, memory_m, gpu_m = node_load[pid]
-        if cpu_m > residual.cpu_m or memory_m > residual.memory_m or gpu_m > residual.gpu_m:
+        if cpu_m > cpu_free[pid] or memory_m > memory_free[pid] or gpu_m > gpu_free[pid]:
             return Violation("node-capacity", f"aggregate demand exceeds residual on node {pid}")
 
     link_load: dict[int, int] = {}
@@ -126,8 +126,8 @@ def verify_solution(
                 return Violation("path", f"path for virtual link {idx} uses missing link ({a}, {b})")
             link_load[link_idx] = link_load.get(link_idx, 0) + vlink.bw_demand_m
     for link_idx in sorted(link_load):
-        link = net.links[link_idx]
-        if link_load[link_idx] > link.bw_residual_m:
+        if link_load[link_idx] > net.bw_free[link_idx]:
+            link = net.links[link_idx]
             return Violation(
                 "link-capacity",
                 f"aggregate bandwidth exceeds residual on link ({link.u}, {link.v})",
@@ -193,12 +193,11 @@ def allocate(
         raise AllocationError(str(violation))
     entry = _solution_deltas(vnr, solution, net)
     for pid, (cpu_m, memory_m, gpu_m) in entry.node_deltas.items():
-        res = net.nodes[pid].residual
-        net.nodes[pid].residual = ResourceVector.from_milli_units(
-            res.cpu_m - cpu_m, res.memory_m - memory_m, res.gpu_m - gpu_m
-        )
+        net.cpu_free[pid] -= cpu_m
+        net.memory_free[pid] -= memory_m
+        net.gpu_free[pid] -= gpu_m
     for link_idx, bw_m in entry.link_deltas.items():
-        net.links[link_idx].bw_residual_m -= bw_m
+        net.bw_free[link_idx] -= bw_m
     ledger.entries[vnr.request_id] = entry
 
 
@@ -208,18 +207,19 @@ def release(net: PhysicalNetwork, request_id: int, ledger: AllocationLedger) -> 
     if entry is None:
         raise LedgerError(f"request {request_id} is not in the ledger")
     for pid, (cpu_m, memory_m, gpu_m) in entry.node_deltas.items():
-        node = net.nodes[pid]
-        res = node.residual
-        restored = ResourceVector.from_milli_units(
-            res.cpu_m + cpu_m, res.memory_m + memory_m, res.gpu_m + gpu_m
-        )
-        if not restored.fits_within(node.capacity):
+        cap = net.nodes[pid].capacity
+        cpu_m += net.cpu_free[pid]
+        memory_m += net.memory_free[pid]
+        gpu_m += net.gpu_free[pid]
+        if cpu_m > cap.cpu_m or memory_m > cap.memory_m or gpu_m > cap.gpu_m:
             raise LedgerError(f"release would exceed capacity on node {pid}")
-        node.residual = restored
+        net.cpu_free[pid] = cpu_m
+        net.memory_free[pid] = memory_m
+        net.gpu_free[pid] = gpu_m
     for link_idx, bw_m in entry.link_deltas.items():
+        net.bw_free[link_idx] += bw_m
         link = net.links[link_idx]
-        link.bw_residual_m += bw_m
-        if link.bw_residual_m > link.bw_capacity_m:
+        if net.bw_free[link_idx] > link.bw_capacity_m:
             raise LedgerError(f"release would exceed capacity on link ({link.u}, {link.v})")
 
 
@@ -239,15 +239,11 @@ def conservation_violations(net: PhysicalNetwork, ledger: AllocationLedger) -> l
     for pid, node in enumerate(net.nodes):
         held = node_out.get(pid, [0, 0, 0])
         cap = node.capacity
-        res = node.residual
-        if (
-            res.cpu_m != cap.cpu_m - held[0]
-            or res.memory_m != cap.memory_m - held[1]
-            or res.gpu_m != cap.gpu_m - held[2]
-        ):
+        free = (net.cpu_free[pid], net.memory_free[pid], net.gpu_free[pid])
+        if free != (cap.cpu_m - held[0], cap.memory_m - held[1], cap.gpu_m - held[2]):
             problems.append(f"node {pid} residual disagrees with ledger")
     for link_idx, link in enumerate(net.links):
         held = link_out.get(link_idx, 0)
-        if link.bw_residual_m != link.bw_capacity_m - held:
+        if net.bw_free[link_idx] != link.bw_capacity_m - held:
             problems.append(f"link ({link.u}, {link.v}) residual disagrees with ledger")
     return problems

@@ -91,11 +91,11 @@ def map_link(
     if hop_limit < 1:
         return None
     reserved = reserved or {}
-    links = net.links
+    bw_free = net.bw_free
     adjacency = net.adjacency
 
     def usable(link_idx: int) -> bool:
-        return links[link_idx].bw_residual_m - reserved.get(link_idx, 0) >= bw_demand_m
+        return bw_free[link_idx] - reserved.get(link_idx, 0) >= bw_demand_m
 
     # First try the capacity-blind shortest path.  Capacity only removes
     # links, so no feasible path is shorter: if it is too long or missing,
@@ -193,14 +193,14 @@ class _Scratch:
         if self.injective and pid in self.placement.values():
             return False
         demand = self.vnr.nodes[vid].demand
-        residual = self.net.nodes[pid].residual
+        net = self.net
         used = self.node_usage.get(pid)
         if used is None:
             used = (0, 0, 0)
         return (
-            demand.cpu_m <= residual.cpu_m - used[0]
-            and demand.memory_m <= residual.memory_m - used[1]
-            and demand.gpu_m <= residual.gpu_m - used[2]
+            demand.cpu_m <= net.cpu_free[pid] - used[0]
+            and demand.memory_m <= net.memory_free[pid] - used[1]
+            and demand.gpu_m <= net.gpu_free[pid] - used[2]
         )
 
     def reserve_path(self, link_idx: int, path: tuple[int, ...], bw_m: int) -> None:
@@ -220,7 +220,7 @@ class _Scratch:
         if not self.node_fits(vid, pid):
             return False
         routed: list[tuple[int, int]] = []
-        for other, link_idx in sorted(self.vnr.adjacency[vid].items(), key=lambda kv: kv[1]):
+        for other, link_idx in self.vnr.adjacency[vid].items():  # by link index
             peer = self.placement.get(other)
             if peer is None:
                 continue
@@ -263,6 +263,7 @@ def embed(
     demands = [(n.demand.cpu_m, n.demand.memory_m, n.demand.gpu_m) for n in vnr.nodes]
     least = _least_demand(demands, remaining)
     scratch = _Scratch(net, vnr, params.injective)
+    cpu_free, memory_free, gpu_free = net.cpu_free, net.memory_free, net.gpu_free
 
     walk = net.walk(root)
     order = walk.order
@@ -279,10 +280,9 @@ def embed(
         # Each node is inspected once per embed, so nothing is tentatively
         # placed here yet and the live residual is what is free.  A server
         # below the least remaining demand in any resource fits nothing.
-        residual = net.nodes[here].residual
-        free_cpu = residual.cpu_m
-        free_memory = residual.memory_m
-        free_gpu = residual.gpu_m
+        free_cpu = cpu_free[here]
+        free_memory = memory_free[here]
+        free_gpu = gpu_free[here]
         if free_cpu < least[0] or free_memory < least[1] or free_gpu < least[2]:
             continue
         # front-to-back greedy pass: skip individual misfits, keep scanning.

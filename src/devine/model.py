@@ -44,16 +44,6 @@ class ResourceVector:
         if min(self.cpu_m, self.memory_m, self.gpu_m) < 0:
             raise ValueError(f"resource amounts must be non-negative, got {self!r}")
 
-    @classmethod
-    def from_milli_units(cls, cpu_m: int, memory_m: int, gpu_m: int) -> ResourceVector:
-        if min(cpu_m, memory_m, gpu_m) < 0:
-            raise ValueError("resource amounts must be non-negative")
-        rv = cls.__new__(cls)
-        rv.cpu_m = cpu_m
-        rv.memory_m = memory_m
-        rv.gpu_m = gpu_m
-        return rv
-
     @property
     def cpu(self) -> float:
         return self.cpu_m / SCALE
@@ -65,14 +55,6 @@ class ResourceVector:
     @property
     def gpu(self) -> float:
         return self.gpu_m / SCALE
-
-    def fits_within(self, other: ResourceVector) -> bool:
-        """Componentwise self <= other."""
-        return (
-            self.cpu_m <= other.cpu_m
-            and self.memory_m <= other.memory_m
-            and self.gpu_m <= other.gpu_m
-        )
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, ResourceVector):
@@ -87,52 +69,41 @@ class ResourceVector:
         return f"ResourceVector(cpu={self.cpu}, memory={self.memory}, gpu={self.gpu})"
 
 
-@dataclass
+@dataclass(frozen=True)
 class PhysicalNode:
-    """Server with a static capacity and a mutable residual."""
+    """Server with a static capacity; what is free lives on the network."""
 
     id: int
     capacity: ResourceVector
-    residual: ResourceVector | None = None
-
-    def __post_init__(self):
-        if self.residual is None:
-            self.residual = self.capacity
-        if not self.residual.fits_within(self.capacity):
-            raise ValueError(f"residual exceeds capacity on node {self.id}")
 
 
 class PhysicalLink:
-    """Undirected substrate link with fixed-point bandwidth accounting."""
+    """Undirected substrate link with a fixed-point bandwidth capacity."""
 
-    __slots__ = ("u", "v", "bw_capacity_m", "bw_residual_m")
+    __slots__ = ("u", "v", "bw_capacity_m")
 
-    def __init__(self, u: int, v: int, bandwidth: float, residual: float | None = None):
+    def __init__(self, u: int, v: int, bandwidth: float):
         if u == v:
             raise ValueError("self-loops are not allowed")
         self.u, self.v = (u, v) if u < v else (v, u)
         self.bw_capacity_m = to_milli(bandwidth)
-        self.bw_residual_m = self.bw_capacity_m if residual is None else to_milli(residual)
-        if self.bw_capacity_m < 0 or not 0 <= self.bw_residual_m <= self.bw_capacity_m:
+        if self.bw_capacity_m < 0:
             raise ValueError(f"bandwidth out of range on link ({self.u}, {self.v})")
 
     @property
     def bandwidth_capacity(self) -> float:
         return self.bw_capacity_m / SCALE
 
-    @property
-    def bandwidth_residual(self) -> float:
-        return self.bw_residual_m / SCALE
-
     def __repr__(self) -> str:
-        return (
-            f"PhysicalLink({self.u}, {self.v}, bandwidth={self.bandwidth_capacity}, "
-            f"residual={self.bandwidth_residual})"
-        )
+        return f"PhysicalLink({self.u}, {self.v}, bandwidth={self.bandwidth_capacity})"
 
 
 def _build_adjacency(num_nodes: int, links) -> list[dict[int, int]]:
-    """Per-node map of neighbor id to link index; rejects duplicates."""
+    """Per-node map of neighbor id to link index; rejects duplicates.
+
+    Entries are inserted in link-index order, so each node's map iterates
+    by ascending link index.
+    """
     adjacency: list[dict[int, int]] = [dict() for _ in range(num_nodes)]
     for idx, link in enumerate(links):
         if not (0 <= link.u < num_nodes and 0 <= link.v < num_nodes):
@@ -185,6 +156,15 @@ class Walk:
         return len(order) > start
 
 
+def _free_list(given: list[int] | None, capacity: list[int], what: str) -> list[int]:
+    """A residual list: capacity when not given, else a checked copy of it."""
+    if given is None:
+        return capacity
+    if len(given) != len(capacity) or not all(0 <= f <= c for f, c in zip(given, capacity)):
+        raise ValueError(f"{what} residuals must lie between 0 and capacity, one per entry")
+    return list(given)
+
+
 def _connected(num_nodes: int, adjacency) -> bool:
     if num_nodes <= 1:
         return True
@@ -195,14 +175,32 @@ def _connected(num_nodes: int, adjacency) -> bool:
 
 
 class PhysicalNetwork:
-    """Undirected substrate graph with per-node and per-link residuals."""
+    """Undirected substrate graph, and the only owner of what is free on it.
 
-    def __init__(self, nodes: list[PhysicalNode], links: list[PhysicalLink]):
+    `cpu_free`, `memory_free` and `gpu_free` (by node id) and `bw_free` (by
+    link index) hold residuals in milli-units, from capacity unless given.
+    Plain lists: the hot loops read single entries, which lists serve fastest.
+    """
+
+    def __init__(
+        self,
+        nodes: list[PhysicalNode],
+        links: list[PhysicalLink],
+        *,
+        cpu_free: list[int] | None = None,
+        memory_free: list[int] | None = None,
+        gpu_free: list[int] | None = None,
+        bw_free: list[int] | None = None,
+    ):
         ids = [node.id for node in nodes]
         if ids != list(range(len(nodes))):
             raise ValueError("node ids must be dense integers 0..n-1 in order")
         self.nodes = nodes
         self.links = links
+        self.cpu_free = _free_list(cpu_free, [n.capacity.cpu_m for n in nodes], "cpu")
+        self.memory_free = _free_list(memory_free, [n.capacity.memory_m for n in nodes], "memory")
+        self.gpu_free = _free_list(gpu_free, [n.capacity.gpu_m for n in nodes], "gpu")
+        self.bw_free = _free_list(bw_free, [l.bw_capacity_m for l in links], "bandwidth")
         self.adjacency = _build_adjacency(len(nodes), links)
         self._neighbors = [sorted(nbs) for nbs in self.adjacency]
         # built one destination at a time on first use: building all of them
@@ -270,13 +268,15 @@ class PhysicalNetwork:
         return _connected(self.num_nodes, self.adjacency)
 
     def clone(self) -> PhysicalNetwork:
-        """Independent copy carrying the current residuals."""
-        nodes = [PhysicalNode(n.id, n.capacity, n.residual) for n in self.nodes]
-        links = [
-            PhysicalLink(l.u, l.v, l.bandwidth_capacity, l.bandwidth_residual)
-            for l in self.links
-        ]
-        return PhysicalNetwork(nodes, links)
+        """Independent copy carrying the current residuals; nodes and links are static."""
+        return PhysicalNetwork(
+            list(self.nodes),
+            list(self.links),
+            cpu_free=self.cpu_free,
+            memory_free=self.memory_free,
+            gpu_free=self.gpu_free,
+            bw_free=self.bw_free,
+        )
 
 
 @dataclass

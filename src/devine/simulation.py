@@ -185,15 +185,15 @@ def build_workload(
 def _utilization(net) -> tuple[float, float]:
     """Mean used fraction of CPU across nodes and bandwidth across links."""
     cpu = 0.0
-    for node in net.nodes:
+    for node, free in zip(net.nodes, net.cpu_free):
         cap = node.capacity.cpu_m
-        cpu += (cap - node.residual.cpu_m) / cap
+        cpu += (cap - free) / cap
     cpu /= net.num_nodes
     if net.num_links == 0:
         return cpu, 0.0
     bw = 0.0
-    for link in net.links:
-        bw += (link.bw_capacity_m - link.bw_residual_m) / link.bw_capacity_m
+    for link, free in zip(net.links, net.bw_free):
+        bw += (link.bw_capacity_m - free) / link.bw_capacity_m
     return cpu, bw / net.num_links
 
 

@@ -3,7 +3,9 @@
 These deliberately share no search logic with the package: path finding is
 exhaustive DFS over simple paths, feasibility is exhaustive enumeration
 over all node mappings and all per-link path assignments, and the GRC
-transition matrix is built entry by entry from an edge list.
+transition matrix is built entry by entry from an edge list.  The one
+exception is `best_fit`, which keeps the package's greedy core and swaps
+only its node choice for the scan over `node_fits` that it replaced.
 """
 
 from __future__ import annotations
@@ -12,7 +14,8 @@ from itertools import product
 
 import numpy as np
 
-from devine import ConvergenceError
+from devine import ConvergenceError, LocalEmbedParams
+from devine.baselines import _greedy_by_choice
 
 
 def simple_paths(net, src, dst, bw_demand_m, reserved=None, max_hops=None):
@@ -25,7 +28,7 @@ def simple_paths(net, src, dst, bw_demand_m, reserved=None, max_hops=None):
         idx = net.adjacency[a].get(b)
         if idx is None:
             return False
-        return net.links[idx].bw_residual_m - reserved.get(idx, 0) >= bw_demand_m
+        return net.bw_free[idx] - reserved.get(idx, 0) >= bw_demand_m
 
     def walk(path):
         here = path[-1]
@@ -73,7 +76,7 @@ def brute_force_feasible(net, vnr, injective=False):
                     nxt[idx] = nxt.get(idx, 0) + vlink.bw_demand_m
                 ok = True
                 for idx, used in nxt.items():
-                    if used > net.links[idx].bw_residual_m:
+                    if used > net.bw_free[idx]:
                         ok = False
                         break
                 if ok and assign(link_pos + 1, nxt):
@@ -94,11 +97,10 @@ def brute_force_feasible(net, vnr, injective=False):
             acc[1] += demand.memory_m
             acc[2] += demand.gpu_m
         for pid, (cpu_m, memory_m, gpu_m) in load.items():
-            residual = net.nodes[pid].residual
             if (
-                cpu_m > residual.cpu_m
-                or memory_m > residual.memory_m
-                or gpu_m > residual.gpu_m
+                cpu_m > net.cpu_free[pid]
+                or memory_m > net.memory_free[pid]
+                or gpu_m > net.gpu_free[pid]
             ):
                 ok = False
                 break
@@ -109,11 +111,8 @@ def brute_force_feasible(net, vnr, injective=False):
 
 def residual_snapshot(net):
     """Hashable view of every residual, for mutation checks."""
-    nodes = tuple(
-        (n.residual.cpu_m, n.residual.memory_m, n.residual.gpu_m) for n in net.nodes
-    )
-    links = tuple(l.bw_residual_m for l in net.links)
-    return nodes, links
+    nodes = tuple(zip(net.cpu_free, net.memory_free, net.gpu_free))
+    return nodes, tuple(net.bw_free)
 
 
 def power_rank(weights, edges, params):
@@ -157,3 +156,27 @@ def power_rank(weights, edges, params):
     raise ConvergenceError(
         f"rank iteration did not reach {params.tolerance} within {params.max_iterations} steps"
     )
+
+
+def best_fit(net, vnr, params=None):
+    """Bestfit choosing by a scan: the fitting node with the most effective free cpu.
+
+    Effective means less what this request already placed there; ties go to
+    the lowest id.
+    """
+    params = params or LocalEmbedParams()
+
+    def choose(scratch, vid):
+        best_pid = None
+        best_cpu = -1
+        for pid in range(net.num_nodes):
+            if not scratch.node_fits(vid, pid):
+                continue
+            used = scratch.node_usage.get(pid)
+            cpu_m = net.cpu_free[pid] - (used[0] if used else 0)
+            if cpu_m > best_cpu:
+                best_cpu = cpu_m
+                best_pid = pid
+        return best_pid, net.num_nodes
+
+    return _greedy_by_choice(net, vnr, params, choose)

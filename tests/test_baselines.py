@@ -77,6 +77,7 @@ def test_best_fit_takes_largest_residual_cpu():
     assert out.feasible
     assert out.solution.node_mapping == {0: 2}
     assert not best_fit(net, _single_vnr(95.0)).feasible
+    assert not best_fit(PhysicalNetwork([], []), _single_vnr(1.0)).feasible
 
 
 def test_best_fit_counts_tentative_usage_and_breaks_ties_low():
@@ -170,8 +171,8 @@ def test_grc_rank_matches_direct_linear_solve():
         net = generate_physical_network(cfg, stream(seed, "topology"))
         got = grc_rank(net)
         want = _reference_rank(
-            [n.residual.cpu_m for n in net.nodes],
-            [(l.u, l.v, l.bw_residual_m) for l in net.links],
+            net.cpu_free,
+            [(l.u, l.v, free) for l, free in zip(net.links, net.bw_free)],
             net.num_nodes,
         )
         assert np.max(np.abs(got - want)) < 1e-7
@@ -182,16 +183,12 @@ def test_grc_rank_spreads_uniformly_from_drained_columns():
     # every link touching node 1 is fully reserved, so its column falls back
     # to a uniform spread and the ranks still sum to 1
     nodes = [PhysicalNode(i, ResourceVector(50.0, 50.0, 50.0)) for i in range(3)]
-    links = [
-        PhysicalLink(0, 1, 10.0, residual=0.0),
-        PhysicalLink(1, 2, 10.0, residual=0.0),
-        PhysicalLink(0, 2, 10.0),
-    ]
-    net = PhysicalNetwork(nodes, links)
+    links = [PhysicalLink(0, 1, 10.0), PhysicalLink(1, 2, 10.0), PhysicalLink(0, 2, 10.0)]
+    net = PhysicalNetwork(nodes, links, bw_free=[0, 0, 10000])
     rank = grc_rank(net)
     want = _reference_rank(
-        [n.residual.cpu_m for n in net.nodes],
-        [(l.u, l.v, l.bw_residual_m) for l in net.links],
+        net.cpu_free,
+        [(l.u, l.v, free) for l, free in zip(net.links, net.bw_free)],
         3,
     )
     assert np.max(np.abs(rank - want)) < 1e-7
@@ -236,7 +233,7 @@ def test_grc_embed_pairs_high_ranks_hand_traced():
 def test_grc_embed_ranks_respond_to_load():
     # drain cpu at the middle node and the embedding shifts away from it
     net = _net([20.0, 7.0, 20.0], [(0, 1, 50.0), (1, 2, 50.0)])
-    net.nodes[1].residual = ResourceVector(0.5, 1000.0, 1000.0)
+    net.cpu_free[1] = 500
     out = grc_embed(net, _single_vnr(5.0))
     assert out.feasible
     assert out.solution.node_mapping[0] in (0, 2)

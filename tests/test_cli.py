@@ -1,12 +1,24 @@
 import csv
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import devine
 from devine import __version__
 from devine.cli import main
+
+
+def _child_env():
+    """The environment with the imported devine's directory first on PYTHONPATH.
+
+    A child `python -m devine` then imports the same package, installed or not.
+    """
+    path = [str(Path(devine.__file__).parent.parent), os.environ.get("PYTHONPATH", "")]
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
 
 
 def _base_flags(tmp_path, extra=()):
@@ -201,7 +213,7 @@ def test_unrunnable_inputs_exit_1_instead_of_hanging(tmp_path, flags, config, me
         flags = [*flags, "--config", str(config_path)]
     proc = subprocess.run(
         [sys.executable, "-m", "devine", "run", *flags, "--out-dir", str(tmp_path)],
-        capture_output=True, text=True, timeout=60,
+        capture_output=True, text=True, timeout=60, env=_child_env(),
     )
     assert proc.returncode == 1
     assert "config error:" in proc.stderr and message in proc.stderr
@@ -240,7 +252,7 @@ def test_version_flag():
 def test_module_entry_point_runs():
     proc = subprocess.run(
         [sys.executable, "-m", "devine", "--version"],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=_child_env(),
     )
     assert proc.returncode == 0
     assert __version__ in proc.stdout

@@ -168,9 +168,9 @@ def test_allocate_release_round_trip_is_exact():
     vnr = _pair_vnr()
     sol = _solution(vnr, {0: 0, 1: 2}, {0: (0, 1, 2)})
     allocate(net, vnr, sol, ledger)
-    assert net.nodes[0].residual.cpu_m == 90000
-    assert net.nodes[2].residual.cpu_m == 80000
-    assert net.links[0].bw_residual_m == 95000
+    assert net.cpu_free[0] == 90000
+    assert net.cpu_free[2] == 80000
+    assert net.bw_free[0] == 95000
     assert conservation_violations(net, ledger) == []
     assert ledger.live_requests() == [0]
     release(net, 0, ledger)
@@ -195,6 +195,49 @@ def test_allocate_guards():
         allocate(net, hungry, bad, ledger)
     # the failed allocate must not have touched anything
     assert conservation_violations(net, ledger) == []
+
+
+def test_release_refuses_to_lift_a_residual_above_capacity():
+    net = _line_net()
+    ledger = AllocationLedger()
+    for rid in (0, 1):
+        vnr = _pair_vnr(request_id=rid)
+        allocate(net, vnr, _solution(vnr, {0: 0, 1: 1}, {0: (0, 1)}), ledger)
+    net.gpu_free[1] = net.nodes[1].capacity.gpu_m  # freed behind the ledger's back
+    with pytest.raises(LedgerError, match="node 1"):
+        release(net, 0, ledger)
+    net.gpu_free[1] -= 1000  # as if request 0 had left: 1.0 gpu of request 1 stays
+    net.bw_free[0] = net.links[0].bw_capacity_m
+    with pytest.raises(LedgerError, match=r"link \(0, 1\)"):
+        release(net, 1, ledger)
+
+
+def test_conservation_flags_a_residual_the_ledger_does_not_explain():
+    net = _line_net()
+    ledger = AllocationLedger()
+    vnr = _pair_vnr()
+    allocate(net, vnr, _solution(vnr, {0: 0, 1: 2}, {0: (0, 1, 2)}), ledger)
+    assert conservation_violations(net, ledger) == []
+    # every list entry is checked, allocated or not
+    for free, idx, problem in [
+        (net.cpu_free, 0, "node 0 residual disagrees with ledger"),
+        (net.cpu_free, 3, "node 3 residual disagrees with ledger"),
+        (net.memory_free, 2, "node 2 residual disagrees with ledger"),
+        (net.gpu_free, 1, "node 1 residual disagrees with ledger"),
+        (net.bw_free, 1, "link (1, 2) residual disagrees with ledger"),
+        (net.bw_free, 2, "link (2, 3) residual disagrees with ledger"),
+    ]:
+        for delta in (-1, 1):
+            free[idx] += delta
+            assert conservation_violations(net, ledger) == [problem]
+            free[idx] -= delta
+    assert conservation_violations(net, ledger) == []
+    net.cpu_free[1] -= 1
+    net.bw_free[0] += 1
+    assert conservation_violations(net, ledger) == [
+        "node 1 residual disagrees with ledger",
+        "link (0, 1) residual disagrees with ledger",
+    ]
 
 
 def test_conservation_replay_against_independent_accounting():
@@ -232,9 +275,9 @@ def test_conservation_replay_against_independent_accounting():
                 expected_bw[net.link_index(u, v)] -= 3000
         assert conservation_violations(net, ledger) == []
         for pid in range(6):
-            assert net.nodes[pid].residual.cpu_m == expected_cpu[pid]
+            assert net.cpu_free[pid] == expected_cpu[pid]
         for link_idx in range(5):
-            assert net.links[link_idx].bw_residual_m == expected_bw[link_idx]
+            assert net.bw_free[link_idx] == expected_bw[link_idx]
 
 
 # small servers and links, so a few requests saturate them

@@ -7,14 +7,16 @@ soon as src gets its level.  `embed` reads a breadth-first walk that the
 network caches per root across calls, skips servers below the least
 remaining demand, and skips virtual nodes whose demand exceeds what is free
 on the inspected node before calling `try_place`.  GRC builds its
-transition matrix from edge arrays.  Each must give exactly what the
-exhaustive path oracle, the plain greedy loop and the loop-built rank give.
+transition matrix from edge arrays and orders nodes by a stable argsort.
+bestfit picks from one fit mask over an array of what is free.  Each must
+give exactly what the exhaustive path oracle, the plain greedy loop, the
+loop-built rank, the sorted-key order and the scanning chooser give.
 """
 
 from __future__ import annotations
 
 import math
-from collections import deque
+from collections import Counter, deque
 from itertools import combinations
 from unittest import mock
 
@@ -34,8 +36,12 @@ from devine import (
     VirtualNode,
     Vnr,
     allocate,
+    baselines,
+    best_fit,
     demand_order,
     embed,
+    from_milli,
+    grc_embed,
     grc_rank,
     local_embed,
     map_link,
@@ -43,26 +49,28 @@ from devine import (
 )
 from devine.baselines import _vnr_rank
 from devine.local_embed import LocalEmbedOutcome, _finish, _Scratch
+import oracles
 from oracles import best_path, power_rank
 
 amounts = st.integers(min_value=0, max_value=30)
 
 
 @st.composite
-def networks(draw, max_nodes=7):
+def networks(draw, min_nodes=1, max_nodes=7):
     """Random graphs, disconnected ones included, with random residuals."""
-    n = draw(st.integers(min_value=1, max_value=max_nodes))
+    n = draw(st.integers(min_value=min_nodes, max_value=max_nodes))
     pairs = [pair for pair in combinations(range(n), 2) if draw(st.booleans())]
     links = []
+    bw_free = []
     for u, v in pairs:
         capacity = draw(amounts)
-        residual = draw(st.integers(min_value=0, max_value=capacity))
-        links.append(PhysicalLink(u, v, float(capacity), float(residual)))
+        links.append(PhysicalLink(u, v, float(capacity)))
+        bw_free.append(1000 * draw(st.integers(min_value=0, max_value=capacity)))
     nodes = [
         PhysicalNode(i, ResourceVector(draw(amounts), draw(amounts), draw(amounts)))
         for i in range(n)
     ]
-    return PhysicalNetwork(nodes, links)
+    return PhysicalNetwork(nodes, links, bw_free=bw_free)
 
 
 @st.composite
@@ -72,10 +80,10 @@ def reservations(draw, net):
 
 
 @st.composite
-def requests(draw, max_nodes=4, request_id=0):
+def requests(draw, max_nodes=4, request_id=0, amount=amounts):
     n = draw(st.integers(min_value=1, max_value=max_nodes))
     nodes = [
-        VirtualNode(i, ResourceVector(draw(amounts), draw(amounts), draw(amounts)))
+        VirtualNode(i, ResourceVector(draw(amount), draw(amount), draw(amount)))
         for i in range(n)
     ]
     links = [
@@ -86,33 +94,66 @@ def requests(draw, max_nodes=4, request_id=0):
     return Vnr(request_id, nodes, links, 0.0, 1.0)
 
 
-@settings(max_examples=400, deadline=None)
-@given(data=st.data())
-def test_map_link_matches_the_path_oracle(data):
-    net = data.draw(networks())
-    nodes = st.integers(0, net.num_nodes - 1)
-    src, dst = data.draw(nodes), data.draw(nodes)
-    demand_m = data.draw(st.integers(0, 30_000))
-    hop_limit = data.draw(st.integers(0, 6))
-    reserved = data.draw(reservations(net))
-    # leave no free bandwidth on any link of the chosen endpoints
-    for end in data.draw(st.sampled_from(((), (src,), (dst,), (src, dst)))):
-        for idx in net.adjacency[end].values():
-            reserved[idx] = net.links[idx].bw_residual_m
+def _blind_path(net, src, dst):
+    """The capacity-blind shortest path the next-hop walk takes, or None."""
+    hops = net.next_hops(dst)
+    path = [src]
+    while path[-1] != dst and hops[path[-1]] >= 0:
+        path.append(hops[path[-1]])
+    return tuple(path) if path[-1] == dst else None
 
-    def carries(idx):
-        return net.links[idx].bw_residual_m - reserved.get(idx, 0) >= demand_m
 
-    cut_off = src != dst and any(
-        not any(map(carries, net.adjacency[end].values())) for end in (src, dst)
-    )
-    with mock.patch.object(local_embed, "_search", wraps=local_embed._search) as search:
-        got = map_link(net, src, dst, demand_m, hop_limit, reserved)
-    assert got == best_path(net, src, dst, demand_m, reserved, max_hops=hop_limit)
-    if cut_off:
-        # an endpoint no path can leave or enter is settled without a search
-        assert got is None
-        assert not search.called
+def test_map_link_matches_the_path_oracle():
+    counts = Counter()
+
+    @settings(max_examples=400, deadline=None)
+    @given(data=st.data())
+    def check(data):
+        detour = data.draw(st.booleans())
+        net = data.draw(networks(min_nodes=4 if detour else 1))
+        nodes = st.integers(0, net.num_nodes - 1)
+        src = data.draw(nodes)
+        dst = data.draw(nodes.filter(lambda end: end != src) if detour else nodes)
+        blind = _blind_path(net, src, dst)
+        if detour and blind is not None:
+            # saturate one link of the capacity-blind shortest path and leave the
+            # rest free for a small demand: the walk is blocked and the search
+            # looks for a detour
+            demand_m = data.draw(st.integers(1, 1000))
+            hop_limit = data.draw(st.integers(len(blind) - 1, 6))
+            step = data.draw(st.integers(0, len(blind) - 2))
+            idx = net.adjacency[blind[step]][blind[step + 1]]
+            reserved = {idx: net.bw_free[idx]}
+        else:
+            demand_m = data.draw(st.integers(0, 30_000))
+            hop_limit = data.draw(st.integers(0, 6))
+            reserved = data.draw(reservations(net))
+            # leave no free bandwidth on any link of the chosen endpoints
+            for end in data.draw(st.sampled_from(((), (src,), (dst,), (src, dst)))):
+                for idx in net.adjacency[end].values():
+                    reserved[idx] = net.bw_free[idx]
+
+        def carries(idx):
+            return net.bw_free[idx] - reserved.get(idx, 0) >= demand_m
+
+        cut_off = src != dst and any(
+            not any(map(carries, net.adjacency[end].values())) for end in (src, dst)
+        )
+        with mock.patch.object(local_embed, "_search", wraps=local_embed._search) as search:
+            got = map_link(net, src, dst, demand_m, hop_limit, reserved)
+        assert got == best_path(net, src, dst, demand_m, reserved, max_hops=hop_limit)
+        if cut_off:
+            # an endpoint no path can leave or enter is settled without a search
+            assert got is None
+            assert not search.called
+        counts["examples"] += 1
+        counts["searched"] += search.called
+        counts["found"] += search.called and got is not None
+
+    check()
+    # the breadth-first search behind a blocked walk is exercised, detours included
+    assert counts["searched"] >= counts["examples"] // 10, counts
+    assert counts["found"] >= counts["searched"] // 4, counts
 
 
 @settings(max_examples=200, deadline=None)
@@ -122,11 +163,7 @@ def test_next_hop_walk_is_the_capacity_blind_best_path(net):
         table = net.next_hops(dst)
         assert table[dst] == dst
         for src in range(net.num_nodes):
-            path = [src]
-            while path[-1] != dst and table[path[-1]] >= 0:
-                path.append(table[path[-1]])
-            walked = tuple(path) if path[-1] == dst else None
-            assert walked == best_path(net, src, dst, 0)
+            assert _blind_path(net, src, dst) == best_path(net, src, dst, 0)
     assert net.clone().next_hops(0) == net.next_hops(0)
 
 
@@ -157,15 +194,20 @@ def plain_greedy_embed(root, net, vnr, params):
     return _finish(scratch, params, inspected, max_depth)
 
 
-def _embed_and_keep(net, ledger, live, root, vnr, params):
-    """Check one embed against the plain loop, then allocate it, keeping two live."""
-    outcome = embed(root, net, vnr, params)
-    assert outcome == plain_greedy_embed(root, net, vnr, params)
+def _keep(net, ledger, live, vnr, outcome, params):
+    """Allocate a feasible outcome, releasing the oldest so that two stay live."""
     if outcome.feasible:
         allocate(net, vnr, outcome.solution, ledger, injective=params.injective)
         live.append(vnr.request_id)
         if len(live) > 2:
             release(net, live.pop(0), ledger)
+
+
+def _embed_and_keep(net, ledger, live, root, vnr, params):
+    """Check one embed against the plain loop, then allocate it, keeping two live."""
+    outcome = embed(root, net, vnr, params)
+    assert outcome == plain_greedy_embed(root, net, vnr, params)
+    _keep(net, ledger, live, vnr, outcome, params)
     return outcome
 
 
@@ -241,9 +283,85 @@ def test_cached_walks_serve_every_root_and_depth_across_calls():
     assert len(net.walk(0).order) < len(twin.walk(0).order)  # grown only as far as read
 
 
+@st.composite
+def crowded_networks(draw, max_nodes=7):
+    """Random graphs whose servers often tie on free cpu or have a resource drained."""
+    n = draw(st.integers(min_value=1, max_value=max_nodes))
+    level = st.sampled_from((0, 10, 20))
+    nodes = [PhysicalNode(i, ResourceVector(20, 20, 20)) for i in range(n)]
+    links = [
+        PhysicalLink(u, v, 30.0) for u, v in combinations(range(n), 2) if draw(st.booleans())
+    ]
+    return PhysicalNetwork(
+        nodes,
+        links,
+        cpu_free=[1000 * draw(level) for _ in range(n)],
+        memory_free=[1000 * draw(level) for _ in range(n)],
+        gpu_free=[1000 * draw(level) for _ in range(n)],
+        bw_free=[1000 * draw(st.sampled_from((0, 5, 30))) for _ in links],
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_best_fit_matches_the_scanning_chooser(data):
+    # several requests on one network, allocating and releasing between them,
+    # so each call reads residuals that earlier ones moved
+    net = data.draw(crowded_networks())
+    ledger = AllocationLedger()
+    live: list[int] = []
+    for rid in range(data.draw(st.integers(1, 6))):
+        vnr = data.draw(requests(request_id=rid, amount=st.sampled_from((0, 0, 5, 10))))
+        params = LocalEmbedParams(
+            path_hop_limit=data.draw(st.none() | st.integers(0, 3)),
+            injective=data.draw(st.booleans()),
+        )
+        outcome = best_fit(net, vnr, params)
+        assert outcome == oracles.best_fit(net, vnr, params)
+        _keep(net, ledger, live, vnr, outcome, params)
+
+
+def _ring(n, cpu, bw):
+    nodes = [PhysicalNode(i, ResourceVector(cpu, 50, 50)) for i in range(n)]
+    return PhysicalNetwork(nodes, [PhysicalLink(i, (i + 1) % n, bw) for i in range(n)])
+
+
+def test_grc_orders_match_the_sorted_key_orders_under_exact_ties():
+    # a ring of equal servers and a ring of equal virtual nodes rank every
+    # node alike, so both orders rest on the id tie-break alone; loading one
+    # server breaks the symmetry into mirror-image pairs that tie exactly
+    loaded = _ring(8, 50.0, 40.0)
+    loaded.cpu_free[3] = 20000
+    vnr = Vnr(
+        0,
+        [VirtualNode(i, ResourceVector(5, 1, 1)) for i in range(4)],
+        [VirtualLink(i, (i + 1) % 4, 2.0) for i in range(4)],
+    )
+    for net in (_ring(8, 50.0, 40.0), loaded):
+        net_rank = grc_rank(net)
+        vnr_rank = _vnr_rank(vnr, GrcParams())
+        assert len(set(net_rank.tolist())) < net.num_nodes  # ties to break
+        assert len(set(vnr_rank.tolist())) == 1
+        with mock.patch.object(
+            baselines, "_greedy_by_choice", wraps=baselines._greedy_by_choice
+        ) as greedy, mock.patch.object(
+            baselines, "_first_fitting", wraps=baselines._first_fitting
+        ) as first_fitting:
+            grc_embed(net, vnr)
+        phys_order = first_fitting.call_args.args[0]
+        virt_order = greedy.call_args.args[4]
+        assert phys_order == sorted(range(net.num_nodes), key=lambda p: (-net_rank[p], p))
+        assert virt_order == sorted(range(vnr.num_nodes), key=lambda v: (-vnr_rank[v], v))
+        assert all(type(pid) is int for pid in phys_order + virt_order)
+
+
 def _grc_net(cpus, links):
     nodes = [PhysicalNode(i, ResourceVector(cpu, 1, 1)) for i, cpu in enumerate(cpus)]
-    return PhysicalNetwork(nodes, [PhysicalLink(u, v, 30.0, bw) for u, v, bw in links])
+    return PhysicalNetwork(
+        nodes,
+        [PhysicalLink(u, v, 30.0) for u, v, _ in links],
+        bw_free=[1000 * bw for _, _, bw in links],
+    )
 
 
 @st.composite
@@ -268,15 +386,15 @@ def rank_networks(draw, max_nodes=8):
 @example(net=_grc_net([1, 3, 30, 1], [(1, 3, 0), (0, 1, 5)]), damping=0.85)  # isolated node 2
 def test_power_rank_matches_the_loop_built_reference(net, damping):
     params = GrcParams(damping=damping)
-    weights = np.array([n.residual.cpu_m for n in net.nodes], dtype=float)
-    edges = [(l.u, l.v, l.bw_residual_m) for l in net.links]
+    weights = np.array(net.cpu_free, dtype=float)
+    edges = [(l.u, l.v, free) for l, free in zip(net.links, net.bw_free)]
     assert grc_rank(net, params).tobytes() == power_rank(weights, edges, params).tobytes()
 
     # the same graph read as a request: cpu demands and bandwidth demands
     vnr = Vnr(
         0,
-        [VirtualNode(n.id, n.residual) for n in net.nodes],
-        [VirtualLink(l.u, l.v, l.bandwidth_residual) for l in net.links],
+        [VirtualNode(n.id, n.capacity) for n in net.nodes],
+        [VirtualLink(l.u, l.v, from_milli(free)) for l, free in zip(net.links, net.bw_free)],
     )
     assert _vnr_rank(vnr, params).tobytes() == power_rank(weights, edges, params).tobytes()
 

@@ -6,6 +6,10 @@ import pytest
 from devine import (
     GenerationError,
     GeneratorConfig,
+    ResourceVector,
+    VirtualLink,
+    VirtualNode,
+    Vnr,
     draw_positive,
     generate_physical_network,
     generate_vnr,
@@ -96,9 +100,12 @@ def test_physical_network_shape_and_floors():
         assert node.capacity.cpu >= cfg.resource_floor
         assert node.capacity.memory >= cfg.resource_floor
         assert node.capacity.gpu >= cfg.resource_floor
-        assert node.residual == node.capacity
+        assert net.cpu_free[node.id] == node.capacity.cpu_m
+        assert net.memory_free[node.id] == node.capacity.memory_m
+        assert net.gpu_free[node.id] == node.capacity.gpu_m
     for link in net.links:
         assert link.bandwidth_capacity >= cfg.resource_floor
+    assert net.bw_free == [link.bw_capacity_m for link in net.links]
 
 
 def test_physical_link_count_tracks_edge_probability():
@@ -191,3 +198,21 @@ def test_vnr_generation_is_seed_deterministic():
     assert first[0].fingerprint() == second[0].fingerprint()
     other = generate_vnr(cfg, 0, 0.0, stream(6, "vnr"))
     assert first[0].fingerprint() != other.fingerprint()
+
+
+def test_request_adjacency_iterates_by_link_index():
+    # the local embedder routes a virtual node's links in link-index order by
+    # iterating its adjacency as built, without sorting it
+    cfg = GeneratorConfig()
+    draws = stream(5, "vnr")
+    for request_id in range(500):
+        vnr = generate_vnr(cfg, request_id, 0.0, draws)
+        for peers in vnr.adjacency:
+            assert list(peers.values()) == sorted(peers.values())
+    # by link index, not by neighbour id
+    vnr = Vnr(
+        0,
+        [VirtualNode(i, ResourceVector(1)) for i in range(4)],
+        [VirtualLink(2, 3, 1.0), VirtualLink(0, 3, 1.0), VirtualLink(1, 3, 1.0)],
+    )
+    assert list(vnr.adjacency[3].items()) == [(2, 0), (0, 1), (1, 2)]

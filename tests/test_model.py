@@ -31,39 +31,37 @@ def test_resource_vector_rejects_negative():
     with pytest.raises(ValueError):
         ResourceVector(cpu=-1.0)
     with pytest.raises(ValueError):
-        ResourceVector.from_milli_units(1, -1, 0)
-
-
-def test_resource_vector_fits_within():
-    small = ResourceVector(cpu=1, memory=2, gpu=3)
-    big = ResourceVector(cpu=1, memory=2, gpu=3.001)
-    assert small.fits_within(big)
-    assert small.fits_within(small)
-    assert not big.fits_within(small)
+        ResourceVector(1, -0.001, 0)
 
 
 def test_resource_vector_equality():
     assert ResourceVector(1, 2, 3) == ResourceVector(1.0, 2.0, 3.0)
-    assert ResourceVector() == ResourceVector.from_milli_units(0, 0, 0)
+    assert ResourceVector() == ResourceVector(0, 0, 0)
     assert ResourceVector(0.001) != ResourceVector()
 
 
 def test_physical_node_residual_defaults_to_capacity():
     node = PhysicalNode(0, ResourceVector(10, 20, 30))
-    assert node.residual == node.capacity
+    net = PhysicalNetwork([node], [])
+    assert (net.cpu_free, net.memory_free, net.gpu_free) == ([10000], [20000], [30000])
     with pytest.raises(ValueError):
-        PhysicalNode(0, ResourceVector(10), ResourceVector(11))
+        PhysicalNetwork([PhysicalNode(0, ResourceVector(10))], [], cpu_free=[10001])
+    with pytest.raises(ValueError):
+        PhysicalNetwork([PhysicalNode(0, ResourceVector(10))], [], gpu_free=[-1])
+    with pytest.raises(ValueError):
+        PhysicalNetwork([PhysicalNode(0, ResourceVector(10))], [], memory_free=[0, 0])
 
 
 def test_physical_link_normalizes_and_validates():
     link = PhysicalLink(5, 2, 100.0)
     assert (link.u, link.v) == (2, 5)
     assert link.bw_capacity_m == 100000
-    assert link.bandwidth_residual == 100.0
+    nodes = [PhysicalNode(i, ResourceVector(1)) for i in range(6)]
+    assert PhysicalNetwork(nodes, [link]).bw_free == [100000]
     with pytest.raises(ValueError):
         PhysicalLink(1, 1, 10.0)
     with pytest.raises(ValueError):
-        PhysicalLink(0, 1, 10.0, residual=11.0)
+        PhysicalNetwork(nodes, [PhysicalLink(0, 1, 10.0)], bw_free=[10001])
 
 
 def _triangle():
@@ -101,11 +99,21 @@ def test_network_connectivity():
 
 def test_network_clone_is_independent():
     net = _triangle()
+    net.cpu_free[1] = 5
+    net.bw_free[2] = 6
     twin = net.clone()
-    twin.nodes[0].residual = ResourceVector(1, 1, 1)
-    twin.links[0].bw_residual_m = 7
-    assert net.nodes[0].residual == ResourceVector(100, 100, 100)
-    assert net.links[0].bw_residual_m == 50000
+    assert twin.cpu_free == [100000, 5, 100000]  # carries the current residuals
+    assert twin.bw_free == [50000, 60000, 6]
+    twin.cpu_free[0] = twin.memory_free[0] = twin.gpu_free[0] = 1
+    twin.bw_free[0] = 7
+    assert (net.cpu_free, net.memory_free, net.gpu_free) == (
+        [100000, 5, 100000], [100000] * 3, [100000] * 3
+    )
+    assert net.bw_free == [50000, 60000, 6]
+    net.gpu_free[2] = 8
+    net.bw_free[1] = 9
+    assert twin.gpu_free == [1, 100000, 100000]
+    assert twin.bw_free == [7, 60000, 6]
 
 
 def _small_vnr(request_id=0, bw=5.0, lifetime=10.0, arrival=0.0):
