@@ -121,6 +121,8 @@ def _power_rank(
     to 1).
     """
     n = len(weights)
+    if n == 0:  # an empty substrate: nothing to rank
+        return np.zeros(0)
     total = weights.sum()
     c = np.full(n, 1.0 / n) if total <= 0 else weights / total
     if n == 1:
@@ -135,10 +137,11 @@ def _power_rank(
     transition[v, u] = np.where(drained[u], 1.0, w) / col_sums[u]
     transition[u, v] = np.where(drained[v], 1.0, w) / col_sums[v]
     d = params.damping
+    teleport = (1.0 - d) * c
     rank = c.copy()
     for _ in range(params.max_iterations):
-        updated = (1.0 - d) * c + d * (transition @ rank)
-        if np.max(np.abs(updated - rank)) < params.tolerance:
+        updated = teleport + d * (transition @ rank)
+        if abs(updated - rank).max() < params.tolerance:
             return updated
         rank = updated
     raise ConvergenceError(

@@ -100,8 +100,9 @@ def map_link(
     # First try the capacity-blind shortest path.  Capacity only removes
     # links, so no feasible path is shorter: if it is too long or missing,
     # nothing fits.  If every hop carries the demand it is the answer
-    # _search would give, since the feasible shortest paths are among
-    # the capacity-blind ones and the walk yields the smallest of those.
+    # _search's two-sided fill and descent would give, since the feasible
+    # shortest paths are among the capacity-blind ones and the walk yields
+    # the smallest of those.
     hops = net.next_hops(dst)
     path = [src]
     blocked = False
@@ -127,9 +128,12 @@ def map_link(
 def _search(
     net: PhysicalNetwork, src: int, dst: int, hop_limit: int, usable
 ) -> tuple[int, ...] | None:
-    """Shortest path over usable links by breadth-first search, or None.
+    """Shortest path over usable links, found by a two-sided level fill, or None.
 
-    Ties go to the lexicographically smallest node sequence.
+    Ties go to the lexicographically smallest node sequence: the descent
+    steps from src to the smallest-id neighbor one level closer to dst.
+    The fill behind it meets in the middle and so leaves most nodes
+    without a level, but every node the descent steps to has its true one.
     """
     adjacency = net.adjacency
     dist = _levels(adjacency, src, dst, hop_limit, usable)
@@ -154,27 +158,58 @@ def _search(
 
 
 def _levels(adjacency, src: int, dst: int, hop_limit: int, usable) -> dict[int, int] | None:
-    """Hop distance to dst over usable links, for every node up to src's level.
+    """Hop distance to dst over usable links, for the descent from src; None if cut off.
 
-    Levels are filled breadth-first from dst and the fill stops the moment
-    src gets its level: the descent from src reads only lower levels, and
-    those are complete by then.  None if src is not within hop_limit.
+    Levels grow from src (forward) and from dst (backward), one whole level
+    of the smaller frontier per step, until a level reaches a node the
+    other side holds; None if a frontier empties first or a + b, the
+    levels filled on each side, reaches hop_limit.  The shortest path then
+    has a + b hops.  The map holds the backward levels, src at a + b and,
+    marked level by level back towards src, each forward node of level
+    0 < k < a with a usable link to a node the map holds at a + b - k - 1,
+    at a + b - k.  Invariant: every entry is that node's true distance to
+    dst and every node on a shortest path has one, so the map equals the
+    true distance on every node the descent steps to.
     """
-    dist = {dst: 0}
-    frontier = [dst]
-    for level in range(1, hop_limit + 1):
-        reached = []
-        for here in frontier:
-            for nb, link_idx in adjacency[here].items():
-                if nb not in dist and usable(link_idx):
-                    dist[nb] = level
-                    if nb == src:
-                        return dist
-                    reached.append(nb)
-        if not reached:
+    forward, backward = {src: 0}, {dst: 0}
+    rings = [[src]]  # the forward levels
+    behind = [dst]
+    a = b = 0
+    met = False
+    while not met:
+        if a + b == hop_limit or not rings[-1] or not behind:
             return None
-        frontier = reached
-    return None
+        if len(rings[-1]) <= len(behind):
+            a += 1
+            ahead, met = _expand(adjacency, rings[-1], forward, a, backward, usable)
+            rings.append(ahead)
+        else:
+            b += 1
+            behind, met = _expand(adjacency, behind, backward, b, forward, usable)
+    hops = a + b
+    dist = backward
+    dist[src] = hops  # src lies on every shortest path
+    for level in range(a - 1, 0, -1):
+        closer = hops - level - 1
+        for here in rings[level]:
+            if any(dist.get(nb) == closer and usable(idx) for nb, idx in adjacency[here].items()):
+                dist[here] = closer + 1
+    return dist
+
+
+def _expand(adjacency, frontier, seen, level, other, usable):
+    """The next breadth-first level past `frontier`, recorded in `seen`.
+
+    Returns the new level and whether `other`, the opposite side's
+    levels, holds any of its nodes.
+    """
+    reached = []
+    for here in frontier:
+        for nb, link_idx in adjacency[here].items():
+            if nb not in seen and usable(link_idx):
+                seen[nb] = level
+                reached.append(nb)
+    return reached, not other.keys().isdisjoint(reached)
 
 
 class _Scratch:

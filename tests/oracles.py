@@ -3,9 +3,10 @@
 These deliberately share no search logic with the package: path finding is
 exhaustive DFS over simple paths, feasibility is exhaustive enumeration
 over all node mappings and all per-link path assignments, and the GRC
-transition matrix is built entry by entry from an edge list.  The one
-exception is `best_fit`, which keeps the package's greedy core and swaps
-only its node choice for the scan over `node_fits` that it replaced.
+transition matrix is built entry by entry from an edge list.  Two keep
+what a fast path replaced: `best_fit` keeps the package's greedy core and
+swaps only its node choice for the scan over `node_fits`, and `search` is
+the one-sided level fill and descent that the two-sided fill replaced.
 """
 
 from __future__ import annotations
@@ -56,6 +57,57 @@ def best_path(net, src, dst, bw_demand_m, reserved=None, max_hops=None):
         return None
     shortest = min(len(p) for p in paths)
     return min(p for p in paths if len(p) == shortest)
+
+
+def search(net, src, dst, hop_limit, usable):
+    """Shortest path over usable links by breadth-first search, or None.
+
+    Ties go to the lexicographically smallest node sequence.
+    """
+    adjacency = net.adjacency
+    dist = levels(adjacency, src, dst, hop_limit, usable)
+    if dist is None:
+        return None
+
+    # lexicographically smallest shortest path: always step to the
+    # smallest-id neighbor one level closer to dst
+    path = [src]
+    here = src
+    for step in range(dist[src] - 1, -1, -1):
+        nxt = None
+        for nb in net.neighbors(here):  # ascending ids
+            if dist.get(nb) == step and usable(adjacency[here][nb]):
+                nxt = nb
+                break
+        if nxt is None:  # cannot happen on a consistent level map
+            return None
+        path.append(nxt)
+        here = nxt
+    return tuple(path)
+
+
+def levels(adjacency, src, dst, hop_limit, usable):
+    """Hop distance to dst over usable links, for every node up to src's level.
+
+    Levels are filled breadth-first from dst and the fill stops the moment
+    src gets its level: the descent from src reads only lower levels, and
+    those are complete by then.  None if src is not within hop_limit.
+    """
+    dist = {dst: 0}
+    frontier = [dst]
+    for level in range(1, hop_limit + 1):
+        reached = []
+        for here in frontier:
+            for nb, link_idx in adjacency[here].items():
+                if nb not in dist and usable(link_idx):
+                    dist[nb] = level
+                    if nb == src:
+                        return dist
+                    reached.append(nb)
+        if not reached:
+            return None
+        frontier = reached
+    return None
 
 
 def brute_force_feasible(net, vnr, injective=False):

@@ -7,6 +7,7 @@ from devine import (
     ConvergenceError,
     GeneratorConfig,
     GrcParams,
+    LocalEmbedOutcome,
     LocalEmbedParams,
     PhysicalLink,
     PhysicalNetwork,
@@ -203,6 +204,12 @@ def test_grc_rank_symmetry_and_zero_damping():
     lopsided = _net([30.0, 10.0, 60.0], [(0, 1, 10.0), (1, 2, 10.0)])
     undamped = grc_rank(lopsided, GrcParams(damping=0.0))
     assert undamped == pytest.approx([0.3, 0.1, 0.6])  # d=0 returns plain c
+
+
+@pytest.mark.parametrize("baseline", ALL_BASELINES)
+def test_empty_substrate_reports_the_request_infeasible(baseline):
+    out = baseline(PhysicalNetwork([], []), _single_vnr(1.0))
+    assert out == LocalEmbedOutcome(False, None, 0, 0)
 
 
 def test_grc_rank_single_node():

@@ -2,20 +2,22 @@
 
 `map_link` first walks the capacity-blind next-hop table; when that walk
 hits a link that cannot carry the demand it gives up if either endpoint has
-no link that can, and only then runs a breadth-first search, which stops as
-soon as src gets its level.  `embed` reads a breadth-first walk that the
-network caches per root across calls, skips servers below the least
-remaining demand, and skips virtual nodes whose demand exceeds what is free
-on the inspected node before calling `try_place`.  GRC builds its
+no link that can, and only then runs a breadth-first search that fills
+levels from both ends until they meet.  `embed` reads a breadth-first walk
+that the network caches per root across calls, skips servers below the
+least remaining demand, and skips virtual nodes whose demand exceeds what
+is free on the inspected node before calling `try_place`.  GRC builds its
 transition matrix from edge arrays and orders nodes by a stable argsort.
 bestfit picks from one fit mask over an array of what is free.  Each must
-give exactly what the exhaustive path oracle, the plain greedy loop, the
-loop-built rank, the sorted-key order and the scanning chooser give.
+give exactly what the exhaustive path oracle, the one-sided search, the
+plain greedy loop, the loop-built rank, the sorted-key order and the
+scanning chooser give.
 """
 
 from __future__ import annotations
 
 import math
+import random
 from collections import Counter, deque
 from itertools import combinations
 from unittest import mock
@@ -154,6 +156,90 @@ def test_map_link_matches_the_path_oracle():
     # the breadth-first search behind a blocked walk is exercised, detours included
     assert counts["searched"] >= counts["examples"] // 10, counts
     assert counts["found"] >= counts["searched"] // 4, counts
+
+
+@st.composite
+def sparse_networks(draw):
+    """Random substrates of 8-60 nodes at link probability 0.04-0.3, with their stream.
+
+    Size, density, links and residuals come from one drawn seed rather than
+    a draw each, so they spread evenly over their ranges instead of
+    crowding at the small end, and a 60-node substrate stays cheap to draw.
+    """
+    rng = random.Random(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    n = rng.randint(8, 60)
+    p = rng.uniform(0.04, 0.3)
+    pairs = [pair for pair in combinations(range(n), 2) if rng.random() < p]
+    net = PhysicalNetwork(
+        [PhysicalNode(i, ResourceVector(1, 1, 1)) for i in range(n)],
+        [PhysicalLink(u, v, 30.0) for u, v in pairs],
+        bw_free=[1000 * rng.randint(0, 30) for _ in pairs],
+    )
+    return net, rng
+
+
+def _ball(net, root, radius, outside):
+    """Nodes within `radius` capacity-blind hops of root, short of the level of `outside`."""
+    ball = {root}
+    level = {root}
+    for _ in range(radius):
+        level = {nb for here in level for nb in net.neighbors(here)} - ball
+        if outside in level:
+            break
+        ball |= level
+    return ball
+
+
+def test_two_sided_search_matches_the_one_sided_reference():
+    counts = Counter()
+    expand = local_embed._expand
+
+    @settings(max_examples=500, deadline=None)
+    @given(data=st.data())
+    def check(data):
+        net, rng = data.draw(sparse_networks())
+        src, dst = rng.sample(range(net.num_nodes), 2)
+        demand_m = rng.randint(1, 8_000)
+        hop_limit = rng.randint(1, 9)
+        reserved = {
+            idx: rng.randint(0, 20_000) for idx in range(net.num_links) if rng.random() < 0.3
+        }
+        if rng.random() < 0.25:
+            # cut src off: no link out of a ball around src that misses dst
+            # carries the demand, although links inside the ball may
+            ball = _ball(net, src, rng.randint(0, 3), dst)
+            for here in ball:
+                for nb, idx in net.adjacency[here].items():
+                    if nb not in ball:
+                        reserved[idx] = net.bw_free[idx]
+
+        def usable(idx):
+            return net.bw_free[idx] - reserved.get(idx, 0) >= demand_m
+
+        depth = {True: 0, False: 0}  # levels filled, keyed by "the side grows from src"
+
+        def spy(adjacency, frontier, seen, level, other, usable):
+            # until the sides meet, only the side grown from src holds src
+            depth[src in seen] = level
+            return expand(adjacency, frontier, seen, level, other, usable)
+
+        with mock.patch.object(local_embed, "_expand", spy):
+            got = local_embed._search(net, src, dst, hop_limit, usable)
+        assert got == oracles.search(net, src, dst, hop_limit, usable)
+        with mock.patch.object(local_embed, "_search", oracles.search):
+            want = map_link(net, src, dst, demand_m, hop_limit, reserved)
+        assert map_link(net, src, dst, demand_m, hop_limit, reserved) == want
+        counts["examples"] += 1
+        counts["no path"] += got is None
+        counts["met past forward level 1"] += got is not None and depth[True] >= 2
+        counts["met past backward level 1"] += got is not None and depth[False] >= 2
+
+    check()
+    # the fills meet past level 1 on either side, and some searches find nothing
+    share = counts["examples"] // 20
+    assert counts["met past forward level 1"] >= share, counts
+    assert counts["met past backward level 1"] >= share, counts
+    assert counts["no path"] >= share, counts
 
 
 @settings(max_examples=200, deadline=None)
