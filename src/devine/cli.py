@@ -10,33 +10,45 @@ import csv
 import json
 import os
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from datetime import datetime, timezone
 from pathlib import Path
 
 from . import __version__
-from .simulation import ALGORITHMS, SimConfig, compare_algorithms, run_simulation
+from .simulation import (
+    ALGORITHMS,
+    ArrivalRecord,
+    SeriesSample,
+    SimConfig,
+    compare_algorithms,
+    run_simulation,
+)
 
 OUT_DIR_ENV = "DEVINE_OUT_DIR"
 
-SERIES_COLUMNS = [
-    "time", "arrivals", "acceptances", "acceptance_ratio", "revenue", "cost",
-    "revenue_cost_ratio", "cpu_utilization", "link_utilization",
-    "embedding_messages", "embedded_messages",
-]
-PER_ARRIVAL_COLUMNS = [
-    "request_id", "time", "vnr_hash", "accepted", "acceptance_ratio", "revenue",
-    "cost", "metric", "embedding_messages", "embedded_messages",
-]
+SERIES_COLUMNS = [f.name for f in fields(SeriesSample)]
+PER_ARRIVAL_COLUMNS = [f.name for f in fields(ArrivalRecord)]
 COMPARISON_COLUMNS = [
     "algorithm", "seed", "acceptance_ratio", "revenue", "cost",
     "revenue_cost_ratio", "mean_cpu_utilization", "mean_link_utilization",
     "workload_digest",
 ]
-AGGREGATE_COLUMNS = [
-    "algorithm", "runs", "median_acceptance_ratio", "median_revenue_cost_ratio",
-    "mean_revenue", "mean_cost", "mean_cpu_utilization", "mean_link_utilization",
-]
+
+# Each flag that overrides a config value: flag -> (SimConfig section, or
+# None for a top-level field; field name, which is also the argparse dest;
+# type; help text).
+OVERRIDES = {
+    "--seed": (None, "seed", int, "master seed"),
+    "--servers": ("generator", "server_count", int, "substrate node count"),
+    "--link-prob": ("generator", "link_probability", float, "substrate link probability"),
+    "--duration": (None, "duration", float, "simulated time horizon"),
+    "--arrival-rate": ("generator", "arrival_rate", float, "mean arrivals per time unit"),
+    "--alpha": ("election", "alpha", float, "node budget multiplier"),
+    "--beta": ("election", "beta", int, "search depth limit"),
+    "--leaders": ("election", "leaders", int, "ring size"),
+    "--x": ("election", "x", float, "revenue weight in the metric"),
+    "--y": ("election", "y", float, "cost weight in the metric"),
+}
 
 
 class ConfigError(ValueError):
@@ -59,43 +71,26 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p):
+    commands = {
+        "run": "run one simulation",
+        "compare": "run several algorithms on identical workloads",
+        "validate": "resolve and print the configuration",
+    }
+    for command, text in commands.items():
+        p = sub.add_parser(command, help=text)
         p.add_argument("--config", help="JSON config file (a manifest.json also works)")
-        p.add_argument("--seed", type=int, help="master seed")
-        p.add_argument("--servers", type=int, help="substrate node count")
-        p.add_argument("--link-prob", type=float, help="substrate link probability")
-        p.add_argument("--duration", type=float, help="simulated time horizon")
-        p.add_argument("--arrival-rate", type=float, help="mean arrivals per time unit")
-        p.add_argument("--alpha", type=float, help="node budget multiplier")
-        p.add_argument("--beta", type=int, help="search depth limit")
-        p.add_argument("--leaders", type=int, help="ring size")
-        p.add_argument("--x", type=float, help="revenue weight in the metric")
-        p.add_argument("--y", type=float, help="cost weight in the metric")
-        p.add_argument(
-            "--injective", action="store_true", default=None,
-            help="one physical node per virtual node",
-        )
+        for flag, (_, name, kind, help_text) in OVERRIDES.items():
+            p.add_argument(flag, dest=name, type=kind, help=help_text)
+        p.add_argument("--injective", action="store_true", help="one physical node per virtual node")
         p.add_argument("--out-dir", help=f"output directory (default ${OUT_DIR_ENV} or ./out)")
-
-    run = sub.add_parser("run", help="run one simulation")
-    add_common(run)
-    run.add_argument("--algorithm", choices=None, help="embedding algorithm", default=None)
-
-    cmp_p = sub.add_parser("compare", help="run several algorithms on identical workloads")
-    add_common(cmp_p)
-    cmp_p.add_argument(
-        "--algorithms", default=",".join(ALGORITHMS),
-        help="comma-separated algorithm list",
-    )
-    cmp_p.add_argument(
-        "--seeds", default=None,
-        help="comma-separated master seeds (default: seed..seed+9)",
-    )
-
-    val = sub.add_parser("validate", help="resolve and print the configuration")
-    add_common(val)
-    val.add_argument("--algorithm", default=None, help="embedding algorithm")
+        if command == "compare":
+            p.add_argument(
+                "--algorithms", default=",".join(ALGORITHMS),
+                help="comma-separated algorithm list",
+            )
+            p.add_argument("--seeds", help="comma-separated master seeds (default: seed..seed+9)")
+        else:
+            p.add_argument("--algorithm", help="embedding algorithm")
     return parser
 
 
@@ -130,34 +125,21 @@ def _validated(cfg: SimConfig) -> SimConfig:
 
 
 def resolve_config(args: argparse.Namespace) -> SimConfig:
-    """Config file first, then explicit flags on top."""
+    """Config file first, then explicit flags on top; the caller validates."""
     cfg = _load_config_file(args.config) if args.config else SimConfig()
-    algorithm = getattr(args, "algorithm", None)
-    if algorithm is not None:
-        cfg.algorithm = algorithm
-    if args.seed is not None:
-        cfg.seed = args.seed
-    if args.duration is not None:
-        cfg.duration = args.duration
-    gen_updates = {}
-    if args.servers is not None:
-        gen_updates["server_count"] = args.servers
-    if args.link_prob is not None:
-        gen_updates["link_probability"] = args.link_prob
-    if args.arrival_rate is not None:
-        gen_updates["arrival_rate"] = args.arrival_rate
-    if gen_updates:
-        cfg.generator = replace(cfg.generator, **gen_updates)
-    election_updates = {}
-    for name in ("alpha", "beta", "leaders", "x", "y"):
+    if getattr(args, "algorithm", None) is not None:
+        cfg.algorithm = args.algorithm
+    if args.injective:
+        cfg.election = replace(cfg.election, injective=True)
+    for section, name, _, _ in OVERRIDES.values():
         value = getattr(args, name)
-        if value is not None:
-            election_updates[name] = value
-    if args.injective is not None:
-        election_updates["injective"] = args.injective
-    if election_updates:
-        cfg.election = replace(cfg.election, **election_updates)
-    return _validated(cfg)
+        if value is None:
+            continue
+        if section is None:
+            setattr(cfg, name, value)
+        else:
+            setattr(cfg, section, replace(getattr(cfg, section), **{name: value}))
+    return cfg
 
 
 def _out_dir(args) -> Path:
@@ -182,7 +164,7 @@ def _manifest(cfg: SimConfig, started: str) -> dict:
         "master_seed": cfg.seed,
         "config": cfg.to_dict(),
         "started_at": started,
-        "finished_at": datetime.now(timezone.utc).isoformat(),
+        "finished_at": _now(),
     }
 
 
@@ -191,7 +173,7 @@ def _now() -> str:
 
 
 def cmd_run(args) -> int:
-    cfg = resolve_config(args)
+    cfg = _validated(resolve_config(args))
     out = _out_dir(args)
     started = _now()
     result = run_simulation(cfg)
@@ -233,26 +215,19 @@ def cmd_compare(args) -> int:
             raise ConfigError(f"--seeds must be comma-separated integers: {exc}") from exc
     else:
         seeds = list(range(cfg.seed, cfg.seed + 10))
+    if not algorithms or not seeds:
+        raise ConfigError("--algorithms and --seeds must each name at least one value")
     out = _out_dir(args)
     started = _now()
     rows, aggregates = compare_algorithms(cfg, algorithms, seeds)
-    comparison = [{col: row[col] for col in COMPARISON_COLUMNS} for row in rows]
-    _write_csv(out / "comparison.csv", COMPARISON_COLUMNS, comparison)
-    _write_csv(out / "aggregate.csv", AGGREGATE_COLUMNS, aggregates)
-    long_rows = []
-    for row in rows:
-        for metric in (
-            "acceptance_ratio", "revenue", "cost", "revenue_cost_ratio",
-            "mean_cpu_utilization", "mean_link_utilization",
-        ):
-            long_rows.append(
-                {
-                    "algorithm": row["algorithm"],
-                    "seed": row["seed"],
-                    "metric": metric,
-                    "value": row[metric],
-                }
-            )
+    _write_csv(out / "comparison.csv", COMPARISON_COLUMNS, rows)
+    header = list(aggregates[0])
+    _write_csv(out / "aggregate.csv", header, aggregates)
+    long_rows = [
+        {"algorithm": row["algorithm"], "seed": row["seed"], "metric": metric, "value": row[metric]}
+        for row in rows
+        for metric in COMPARISON_COLUMNS[2:-1]
+    ]
     _write_csv(out / "comparison_long.csv", ["algorithm", "seed", "metric", "value"], long_rows)
     with open(out / "manifest.json", "w") as fh:
         manifest = _manifest(cfg, started)
@@ -261,7 +236,6 @@ def cmd_compare(args) -> int:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
-    header = AGGREGATE_COLUMNS
     widths = [max(len(h), 12) for h in header]
     print("  ".join(h.ljust(w) for h, w in zip(header, widths)))
     for agg in aggregates:
@@ -272,7 +246,7 @@ def cmd_compare(args) -> int:
 
 
 def cmd_validate(args) -> int:
-    cfg = resolve_config(args)
+    cfg = _validated(resolve_config(args))
     print(json.dumps(cfg.to_dict(), indent=2, sort_keys=True))
     second = cfg.generator.second_parameter
     if second == "variance":

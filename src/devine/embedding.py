@@ -152,9 +152,6 @@ class AllocationLedger:
     def __contains__(self, request_id: int) -> bool:
         return request_id in self.entries
 
-    def __len__(self) -> int:
-        return len(self.entries)
-
     def live_requests(self) -> list[int]:
         return sorted(self.entries)
 

@@ -25,6 +25,10 @@ from .model import (
     require_finite,
 )
 
+# Cap on substrate and request sizes: the generator draws one number per node
+# pair, so a typo in a size fails validation instead of exhausting memory.
+MAX_NODES = 1000
+
 _STREAM_IDS = {"topology": 0, "vnr": 1, "primaries": 2, "leaders": 3}
 _MASK64 = (1 << 64) - 1
 
@@ -92,6 +96,8 @@ class GeneratorConfig:
         lo, hi = self.vnr_size
         if lo < 1 or hi < lo:
             raise ValueError("vnr_size must be a range 1 <= lo <= hi")
+        if max(self.server_count, hi) > MAX_NODES:
+            raise ValueError(f"server_count and vnr_size may not exceed {MAX_NODES} nodes")
         if self.arrival_rate <= 0:
             raise ValueError("arrival_rate must be positive")
         if self.arrival_process not in ("poisson", "uniform"):

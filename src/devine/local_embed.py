@@ -292,7 +292,9 @@ def embed(
     if not 0 <= root < net.num_nodes:
         raise ValueError(f"unknown root node {root}")
 
-    budget = math.ceil(params.alpha * vnr.num_nodes)
+    # a walk inspects each server at most once, so the cap changes nothing
+    # but keeps a huge finite alpha from overflowing to an infinite budget
+    budget = math.ceil(min(params.alpha * vnr.num_nodes, net.num_nodes))
     hop_limit = params.hop_limit()
     remaining = demand_order(vnr)
     demands = [(n.demand.cpu_m, n.demand.memory_m, n.demand.gpu_m) for n in vnr.nodes]

@@ -44,29 +44,8 @@ class ResourceVector:
         if min(self.cpu_m, self.memory_m, self.gpu_m) < 0:
             raise ValueError(f"resource amounts must be non-negative, got {self!r}")
 
-    @property
-    def cpu(self) -> float:
-        return self.cpu_m / SCALE
-
-    @property
-    def memory(self) -> float:
-        return self.memory_m / SCALE
-
-    @property
-    def gpu(self) -> float:
-        return self.gpu_m / SCALE
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, ResourceVector):
-            return NotImplemented
-        return (
-            self.cpu_m == other.cpu_m
-            and self.memory_m == other.memory_m
-            and self.gpu_m == other.gpu_m
-        )
-
     def __repr__(self) -> str:
-        return f"ResourceVector(cpu={self.cpu}, memory={self.memory}, gpu={self.gpu})"
+        return f"ResourceVector(cpu_m={self.cpu_m}, memory_m={self.memory_m}, gpu_m={self.gpu_m})"
 
 
 @dataclass(frozen=True)
@@ -90,12 +69,8 @@ class PhysicalLink:
         if self.bw_capacity_m < 0:
             raise ValueError(f"bandwidth out of range on link ({self.u}, {self.v})")
 
-    @property
-    def bandwidth_capacity(self) -> float:
-        return self.bw_capacity_m / SCALE
-
     def __repr__(self) -> str:
-        return f"PhysicalLink({self.u}, {self.v}, bandwidth={self.bandwidth_capacity})"
+        return f"PhysicalLink({self.u}, {self.v}, bw_capacity_m={self.bw_capacity_m})"
 
 
 def _build_adjacency(num_nodes: int, links) -> list[dict[int, int]]:
@@ -264,9 +239,6 @@ class PhysicalNetwork:
             self._endpoints = endpoint_arrays(self.links)
         return self._endpoints
 
-    def is_connected(self) -> bool:
-        return _connected(self.num_nodes, self.adjacency)
-
     def clone(self) -> PhysicalNetwork:
         """Independent copy carrying the current residuals; nodes and links are static."""
         return PhysicalNetwork(
@@ -300,12 +272,8 @@ class VirtualLink:
         if self.bw_demand_m < 0:
             raise ValueError("bandwidth demand must be non-negative")
 
-    @property
-    def bandwidth_demand(self) -> float:
-        return self.bw_demand_m / SCALE
-
     def __repr__(self) -> str:
-        return f"VirtualLink({self.u}, {self.v}, bandwidth={self.bandwidth_demand})"
+        return f"VirtualLink({self.u}, {self.v}, bw_demand_m={self.bw_demand_m})"
 
 
 class Vnr:
@@ -344,9 +312,6 @@ class Vnr:
     @property
     def num_links(self) -> int:
         return len(self.links)
-
-    def is_connected(self) -> bool:
-        return _connected(self.num_nodes, self.adjacency)
 
     def incident_bandwidth_m(self, node_id: int) -> int:
         """Total demanded bandwidth on links touching node_id, in milli-units."""

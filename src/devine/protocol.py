@@ -11,6 +11,7 @@ metrics resolve toward the lowest node id.
 from __future__ import annotations
 
 import json
+import math
 from collections import deque
 from dataclasses import asdict, dataclass
 from typing import Callable
@@ -68,7 +69,10 @@ class EmbeddingMsg:
     metric: float  # -inf when the originator found no feasible embedding
 
     def key(self) -> tuple[float, int]:
-        return (self.metric, -self.originator)
+        # a NaN metric (x * revenue - y * cost overflowed) ranks as infeasible,
+        # since it would break the total order the ring relies on
+        metric = INFEASIBLE if math.isnan(self.metric) else self.metric
+        return (metric, -self.originator)
 
 
 @dataclass(frozen=True)

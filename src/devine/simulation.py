@@ -71,6 +71,11 @@ class SimConfig:
         self.generator.validate()
         self.election.validate()
         self.grc.validate()
+        if self.algorithm == "devine" and self.election.leaders > self.generator.server_count:
+            raise ValueError(
+                f"leaders ({self.election.leaders}) must not exceed server_count "
+                f"({self.generator.server_count}): each leader is a distinct server"
+            )
         if self.generator.arrival_rate * self.duration > MAX_ARRIVALS:
             raise ValueError(
                 f"arrival_rate * duration expects more than {MAX_ARRIVALS} arrivals"

@@ -1,15 +1,17 @@
 import csv
 import json
 import os
+import re
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
 
 import devine
-from devine import __version__
-from devine.cli import main
+from devine import ElectionParams, GeneratorConfig, SimConfig, __version__
+from devine.cli import OVERRIDES, main
 
 
 def _child_env():
@@ -44,6 +46,30 @@ def test_validate_prints_resolved_config_and_dispersion_rule(capsys):
     assert config["election"]["x"] == 2.5
     assert config["election"]["injective"] is True
     assert "second interpreted as variance" in out
+
+
+def test_override_table_names_real_fields_that_each_flag_reaches(capsys):
+    sections = {None: SimConfig(), "generator": GeneratorConfig(), "election": ElectionParams()}
+    values = {  # each differs from its default
+        "--seed": "7", "--servers": "25", "--link-prob": "0.55", "--duration": "44",
+        "--arrival-rate": "1.5", "--alpha": "4.5", "--beta": "2", "--leaders": "3",
+        "--x": "2.5", "--y": "0.5",
+    }
+    assert values.keys() == OVERRIDES.keys()
+    for command in ("run", "compare", "validate"):
+        with pytest.raises(SystemExit):
+            main([command, "--help"])
+        text = capsys.readouterr().out
+        for flag in OVERRIDES:
+            assert re.search(re.escape(flag) + r"\b", text), (command, flag)
+    for flag, (section, name, kind, _) in OVERRIDES.items():
+        defaults = sections[section]
+        assert name in {f.name for f in fields(defaults)}, flag
+        assert main(["validate", flag, values[flag]]) == 0
+        out = capsys.readouterr().out
+        config = json.loads(out[: out.rindex("}") + 1])
+        resolved = config if section is None else config[section]
+        assert resolved[name] == kind(values[flag]) != getattr(defaults, name), flag
 
 
 def test_flags_override_config_file(tmp_path, capsys):
@@ -169,6 +195,10 @@ def test_config_errors_exit_1(tmp_path, capsys):
         ["run", "--algorithm", "mystery", "--out-dir", str(tmp_path)],
         ["validate", "--servers", "0"],
         ["validate", "--leaders", "0"],
+        ["run", "--servers", "3", "--duration", "5", "--out-dir", str(tmp_path)],  # 5 leaders
+        ["validate", "--servers", "1001"],
+        ["validate", "--config", str(tmp_path / "huge_vnr.json")],
+        ["compare", "--algorithms", ",", "--out-dir", str(tmp_path)],
         ["compare", "--algorithms", "devine,neurovine", "--out-dir", str(tmp_path)],
         ["compare", "--algorithms", "devine", "--seeds", "1,x", "--out-dir", str(tmp_path)],
         ["validate", "--config", str(tmp_path / "missing.json")],
@@ -188,6 +218,7 @@ def test_config_errors_exit_1(tmp_path, capsys):
         config_path = tmp_path / name  # valid JSON, but not an object
         config_path.write_text(text)
         cases.append(["validate", "--config", str(config_path)])
+    (tmp_path / "huge_vnr.json").write_text(json.dumps({"generator": {"vnr_size": [4, 1001]}}))
     for argv in cases:
         assert main(argv) == 1, argv
         assert "config error:" in capsys.readouterr().err
@@ -218,6 +249,26 @@ def test_unrunnable_inputs_exit_1_instead_of_hanging(tmp_path, flags, config, me
     assert proc.returncode == 1
     assert "config error:" in proc.stderr and message in proc.stderr
     assert not (tmp_path / "summary.json").exists()
+
+
+def test_leader_count_binds_devine_only(tmp_path):
+    # the other algorithms draw no ring, so a substrate smaller than it runs
+    assert main(["run", "--algorithm", "firstfit", "--servers", "3", "--duration", "30",
+                 "--out-dir", str(tmp_path / "run")]) == 0
+    assert main(["compare", "--algorithms", "firstfit,bestfit,grc", "--servers", "3",
+                 "--duration", "30", "--seeds", "1", "--out-dir", str(tmp_path / "cmp")]) == 0
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--alpha", "1e308", "--servers", "5"],  # alpha * size overflows to inf
+        ["--x", "1e308", "--y", "1e308", "--servers", "10"],  # every metric is NaN
+    ],
+)
+def test_overflowing_finite_settings_still_run(tmp_path, flags):
+    assert main(["run", *flags, "--duration", "30", "--out-dir", str(tmp_path)]) == 0
+    assert json.loads((tmp_path / "summary.json").read_text())["conservation_ok"] is True
 
 
 def test_neurovine_message_names_it(capsys):

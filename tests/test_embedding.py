@@ -175,7 +175,7 @@ def test_allocate_release_round_trip_is_exact():
     assert ledger.live_requests() == [0]
     release(net, 0, ledger)
     assert residual_snapshot(net) == before
-    assert len(ledger) == 0
+    assert ledger.entries == {}
     assert conservation_violations(net, ledger) == []
 
 

@@ -11,10 +11,14 @@ from devine import (
     VirtualNode,
     Vnr,
     draw_positive,
+    from_milli,
     generate_physical_network,
     generate_vnr,
     stream,
+    to_milli,
 )
+from devine.generator import MAX_NODES
+from devine.model import _connected
 
 
 def test_stream_is_deterministic_and_name_separated():
@@ -52,6 +56,15 @@ def test_config_validation_rejects_bad_values():
         with pytest.raises(ValueError):
             GeneratorConfig(**bad).validate()
     GeneratorConfig().validate()
+
+
+def test_node_count_cap_rejects_oversized_graphs_before_generating_any():
+    # the generator draws one number per node pair, so sizes are capped
+    GeneratorConfig(server_count=MAX_NODES, vnr_size=(1, MAX_NODES)).validate()
+    GeneratorConfig(server_count=400).validate()
+    for bad in ({"server_count": MAX_NODES + 1}, {"vnr_size": (4, MAX_NODES + 1)}):
+        with pytest.raises(ValueError, match=str(MAX_NODES)):
+            GeneratorConfig(**bad).validate()
 
 
 def test_second_parameter_switches_variance_and_std():
@@ -95,16 +108,15 @@ def test_physical_network_shape_and_floors():
     net = generate_physical_network(cfg, stream(9, "topology"))
     assert len(net.nodes) == 30
     assert [n.id for n in net.nodes] == list(range(30))
-    assert net.is_connected()
+    assert _connected(net.num_nodes, net.adjacency)
+    floor_m = to_milli(cfg.resource_floor)
     for node in net.nodes:
-        assert node.capacity.cpu >= cfg.resource_floor
-        assert node.capacity.memory >= cfg.resource_floor
-        assert node.capacity.gpu >= cfg.resource_floor
+        assert min(node.capacity.cpu_m, node.capacity.memory_m, node.capacity.gpu_m) >= floor_m
         assert net.cpu_free[node.id] == node.capacity.cpu_m
         assert net.memory_free[node.id] == node.capacity.memory_m
         assert net.gpu_free[node.id] == node.capacity.gpu_m
     for link in net.links:
-        assert link.bandwidth_capacity >= cfg.resource_floor
+        assert link.bw_capacity_m >= floor_m
     assert net.bw_free == [link.bw_capacity_m for link in net.links]
 
 
@@ -150,7 +162,7 @@ def test_generated_cpu_demand_mean_matches_monte_carlo_oracle():
     for request_id in range(10000):
         vnr = generate_vnr(cfg, request_id, 0.0, rng)
         for node in vnr.nodes:
-            total += node.demand.cpu
+            total += from_milli(node.demand.cpu_m)
             count += 1
     sample_mean = total / count
     # oracle: condition raw draws from the untruncated distribution on the floor
@@ -170,7 +182,7 @@ def test_single_server_network_has_no_links():
     net = generate_physical_network(cfg, stream(3, "topology"))
     assert len(net.nodes) == 1
     assert net.links == []
-    assert net.is_connected()
+    assert _connected(net.num_nodes, net.adjacency)
 
 
 def test_vnr_shape_size_range_and_floors():
@@ -182,12 +194,13 @@ def test_vnr_shape_size_range_and_floors():
         assert vnr.request_id == request_id
         sizes.add(len(vnr.nodes))
         assert cfg.vnr_size[0] <= len(vnr.nodes) <= cfg.vnr_size[1]
-        assert vnr.is_connected()
+        assert _connected(vnr.num_nodes, vnr.adjacency)
         assert vnr.lifetime >= cfg.lifetime_floor
+        floor_m = to_milli(cfg.resource_floor)
         for node in vnr.nodes:
-            assert min(node.demand.cpu, node.demand.memory, node.demand.gpu) >= cfg.resource_floor
+            assert min(node.demand.cpu_m, node.demand.memory_m, node.demand.gpu_m) >= floor_m
         for link in vnr.links:
-            assert link.bandwidth_demand >= cfg.resource_floor
+            assert link.bw_demand_m >= floor_m
     assert sizes == set(range(cfg.vnr_size[0], cfg.vnr_size[1] + 1))
 
 

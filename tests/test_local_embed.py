@@ -206,6 +206,20 @@ def test_embed_budget_caps_dequeued_nodes():
     assert embed(0, net, vnr, LocalEmbedParams(alpha=1.0)).feasible
 
 
+def test_embed_huge_finite_alpha_matches_a_whole_substrate_budget():
+    # alpha * size overflows to inf; no walk inspects more than every server
+    cfg = GeneratorConfig(server_count=12, link_probability=0.3, vnr_size=(2, 6))
+    for seed in range(10):
+        net = generate_physical_network(cfg, stream(seed, "topology"))
+        vnr_rng = stream(seed, "vnr")
+        for request_id in range(5):
+            vnr = generate_vnr(cfg, request_id, 0.0, vnr_rng)
+            for beta in (1, 12):
+                whole = embed(seed, net, vnr, LocalEmbedParams(alpha=net.num_nodes, beta=beta))
+                huge = embed(seed, net, vnr, LocalEmbedParams(alpha=1e308, beta=beta))
+                assert huge == whole
+
+
 def test_embed_depth_limit_hides_distant_capacity():
     # line 0-1-2-3; only node 3 can host the second virtual node
     net = _net(

@@ -303,9 +303,12 @@ def test_trace_serializes_to_jsonl_with_null_for_infeasible():
 
 @st.composite
 def scripted_elections(draw):
-    """Rings of 1-12 distinct leaders with metrics from a small, tie-heavy set."""
+    """Rings of 1-12 distinct leaders with metrics from a small, tie-heavy set.
+
+    NaN stands for a metric whose x * revenue - y * cost overflowed.
+    """
     members = draw(st.lists(st.integers(0, 30), min_size=1, max_size=12, unique=True))
-    metric = st.sampled_from((INFEASIBLE, 0.0, 1.0, 2.5, 7.0))
+    metric = st.sampled_from((INFEASIBLE, math.nan, 0.0, 1.0, 2.5, 7.0))
     return LeaderRing(tuple(members)), {nid: draw(metric) for nid in members}
 
 
@@ -323,9 +326,11 @@ def test_election_elects_the_best_proposal_within_the_ring_bound(election):
         ring=ring,
         embedder=_stub_embedder(metrics, vnr, calls),
     )
-    winner = max(members, key=lambda nid: (metrics[nid], -nid))
+    # a NaN metric ranks as infeasible
+    rank = {nid: INFEASIBLE if math.isnan(m) else m for nid, m in metrics.items()}
+    winner = max(members, key=lambda nid: (rank[nid], -nid))
     assert result.winner == winner
-    assert result.outcome.metric() == metrics[winner]
+    assert repr(result.outcome.metric()) == repr(metrics[winner])  # NaN included
     assert calls == {nid: 1 for nid in members}
     events = result.trace.events
     if size == 1:

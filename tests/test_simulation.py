@@ -7,9 +7,7 @@ from devine import (
     ALGORITHMS,
     ElectionParams,
     GeneratorConfig,
-    PhysicalLink,
     PhysicalNetwork,
-    PhysicalNode,
     SimConfig,
     SimulationError,
     build_workload,
@@ -50,6 +48,13 @@ def test_config_validation():
             _small_cfg(**bad).validate()
     _small_cfg(duration=1e7, sampling_interval=1.0,
                generator=GeneratorConfig(arrival_rate=1.0)).validate()  # both caps exactly met
+    # a ring needs distinct servers, which only devine draws
+    crowded = _small_cfg(election=ElectionParams(leaders=16))
+    with pytest.raises(ValueError, match="leaders"):
+        crowded.validate()
+    for algorithm in ("firstfit", "bestfit", "grc"):
+        replace(crowded, algorithm=algorithm).validate()
+    replace(crowded, election=ElectionParams(leaders=15)).validate()
 
 
 def test_config_dict_round_trip():
@@ -271,10 +276,7 @@ def test_stale_solution_is_rejected_at_allocate(monkeypatch):
     stale = set()
 
     def stale_first_fit(net, vnr, params):
-        empty = PhysicalNetwork(
-            [PhysicalNode(n.id, n.capacity) for n in net.nodes],
-            [PhysicalLink(l.u, l.v, l.bandwidth_capacity) for l in net.links],
-        )
+        empty = PhysicalNetwork(list(net.nodes), list(net.links))
         outcome = real_first_fit(empty, vnr, params)
         if outcome.feasible and verify_solution(net, vnr, outcome.solution) is not None:
             stale.add(vnr.request_id)
