@@ -15,6 +15,7 @@ from datetime import datetime, timezone
 from pathlib import Path
 
 from . import __version__
+from .generator import GenerationError
 from .simulation import (
     ALGORITHMS,
     ArrivalRecord,
@@ -180,10 +181,10 @@ def cmd_run(args) -> int:
     _write_csv(out / "series.csv", SERIES_COLUMNS, [vars(s) for s in result.series])
     _write_csv(out / "per_arrival.csv", PER_ARRIVAL_COLUMNS, [vars(a) for a in result.per_arrival])
     with open(out / "summary.json", "w") as fh:
-        json.dump(result.summary, fh, indent=2, sort_keys=True)
+        json.dump(result.summary, fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
     with open(out / "manifest.json", "w") as fh:
-        json.dump(_manifest(cfg, started), fh, indent=2, sort_keys=True)
+        json.dump(_manifest(cfg, started), fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
     if cfg.algorithm == "devine":
         with open(out / "trace.jsonl", "w") as fh:
@@ -233,7 +234,7 @@ def cmd_compare(args) -> int:
         manifest = _manifest(cfg, started)
         manifest["algorithms"] = algorithms
         manifest["seeds"] = seeds
-        json.dump(manifest, fh, indent=2, sort_keys=True)
+        json.dump(manifest, fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
 
     widths = [max(len(h), 12) for h in header]
@@ -265,7 +266,8 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "compare":
             return cmd_compare(args)
         return cmd_validate(args)
-    except ConfigError as exc:
+    except (ConfigError, GenerationError) as exc:
+        # seed and config alone decide whether generation succeeds
         print(f"config error: {exc}", file=sys.stderr)
         return 1
     except Exception as exc:  # noqa: BLE001 - the CLI boundary reports, not raises

@@ -3,13 +3,24 @@
 Normal-distribution parameters are (mean, second) pairs; the second value is
 a variance by default (std = sqrt(second)), switchable to a plain standard
 deviation via ``second_parameter``.  Draws below the floor are redrawn.
+
+Stream contract.  A substrate consumes its stream in this order: one
+uniform per node pair (u, v), u < v, in lexicographic order, repeated until
+the sampled graph is connected; then one normal each for cpu, memory and gpu
+capacity per node in id order; then one normal per link bandwidth in link
+order.  A request consumes, from the request stream: one integer for its
+size; its node pairs' uniforms as above; one normal each for cpu, memory and
+gpu demand per node; one per link bandwidth; then one for its lifetime.
+Under poisson arrivals each request's gap is drawn from the request stream
+just before it.  A normal below its floor is redrawn at once, before the
+next value is drawn.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
-from itertools import combinations
 
 import numpy as np
 
@@ -136,12 +147,49 @@ def draw_positive(
     raise GenerationError(f"could not draw a value >= {low} from N({mean}, std={std})")
 
 
+def _draw_positives(rng, cfg: GeneratorConfig, groups) -> list[float]:
+    """What `draw_positive` gives for every value of `groups`, in one numpy call.
+
+    `groups` holds (dists, count, floor): `dists` repeated `count` times, each
+    value at least `floor`.  With array arguments numpy runs the scalar call's
+    routine once per value in stream order, so when every value clears its
+    floor they are the per-value draws.  A redraw shifts every later value, so
+    then the stream is rewound and drawn again one value at a time.
+    """
+    means, stds, floors = [], [], []
+    for dists, count, floor in groups:
+        means += [dist[0] for dist in dists] * count
+        stds += [cfg.std_of(dist) for dist in dists] * count
+        floors += [floor] * (len(dists) * count)
+    state = rng.bit_generator.state
+    values = rng.normal(means, stds).tolist()
+    if all(map(operator.ge, values, floors)):
+        return values
+    rng.bit_generator.state = state
+    return [
+        draw_positive(rng, dist, cfg, floor)
+        for dists, count, floor in groups
+        for _ in range(count)
+        for dist in dists
+    ]
+
+
 def _random_edges(rng, num_nodes: int, probability: float) -> list[tuple[int, int]]:
-    pairs = list(combinations(range(num_nodes), 2))
-    if not pairs:
+    """G(n, p) edges in lexicographic pair order, from one uniform per pair."""
+    if num_nodes < 2:
         return []
-    hits = rng.random(len(pairs)) < probability
-    return [pair for pair, hit in zip(pairs, hits) if hit]
+    pairs = num_nodes * (num_nodes - 1) // 2
+    hits = np.flatnonzero(rng.random(pairs) < probability).tolist()
+    # flat index k is pair (u, k - start + u + 1) of row u, which holds the
+    # pairs (u, u+1) .. (u, n-1) at flat indices [start, end)
+    edges = []
+    u, start, end = 0, 0, num_nodes - 1
+    for k in hits:
+        while k >= end:
+            u += 1
+            start, end = end, end + num_nodes - 1 - u
+        edges.append((u, k - start + u + 1))
+    return edges
 
 
 def _connected_edges(rng, num_nodes, probability, max_attempts) -> list[tuple[int, int]]:
@@ -163,19 +211,14 @@ def _connected_edges(rng, num_nodes, probability, max_attempts) -> list[tuple[in
 def generate_physical_network(cfg: GeneratorConfig, rng: np.random.Generator) -> PhysicalNetwork:
     """Connected substrate with normally distributed capacities."""
     cfg.validate()
-    edges = _connected_edges(rng, cfg.server_count, cfg.link_probability, cfg.max_attempts)
-    nodes = []
-    for node_id in range(cfg.server_count):
-        capacity = ResourceVector(
-            cpu=draw_positive(rng, cfg.cpu_capacity, cfg),
-            memory=draw_positive(rng, cfg.memory_capacity, cfg),
-            gpu=draw_positive(rng, cfg.gpu_capacity, cfg),
-        )
-        nodes.append(PhysicalNode(node_id, capacity))
-    links = [
-        PhysicalLink(u, v, draw_positive(rng, cfg.link_bandwidth, cfg))
-        for u, v in edges
-    ]
+    n = cfg.server_count
+    edges = _connected_edges(rng, n, cfg.link_probability, cfg.max_attempts)
+    values = _draw_positives(rng, cfg, [
+        ((cfg.cpu_capacity, cfg.memory_capacity, cfg.gpu_capacity), n, cfg.resource_floor),
+        ((cfg.link_bandwidth,), len(edges), cfg.resource_floor),
+    ])
+    nodes = [PhysicalNode(i, ResourceVector(*values[3 * i : 3 * i + 3])) for i in range(n)]
+    links = [PhysicalLink(u, v, bw) for (u, v), bw in zip(edges, values[3 * n :])]
     return PhysicalNetwork(nodes, links)
 
 
@@ -189,17 +232,11 @@ def generate_vnr(
     lo, hi = cfg.vnr_size
     size = int(rng.integers(lo, hi + 1))
     edges = _connected_edges(rng, size, cfg.vnr_link_probability, cfg.max_attempts)
-    nodes = []
-    for node_id in range(size):
-        demand = ResourceVector(
-            cpu=draw_positive(rng, cfg.cpu_demand, cfg),
-            memory=draw_positive(rng, cfg.memory_demand, cfg),
-            gpu=draw_positive(rng, cfg.gpu_demand, cfg),
-        )
-        nodes.append(VirtualNode(node_id, demand))
-    links = [
-        VirtualLink(u, v, draw_positive(rng, cfg.bandwidth_demand, cfg))
-        for u, v in edges
-    ]
-    lifetime = draw_positive(rng, cfg.lifetime, cfg, floor=cfg.lifetime_floor)
-    return Vnr(request_id, nodes, links, arrival_time, lifetime)
+    values = _draw_positives(rng, cfg, [
+        ((cfg.cpu_demand, cfg.memory_demand, cfg.gpu_demand), size, cfg.resource_floor),
+        ((cfg.bandwidth_demand,), len(edges), cfg.resource_floor),
+        ((cfg.lifetime,), 1, cfg.lifetime_floor),
+    ])
+    nodes = [VirtualNode(i, ResourceVector(*values[3 * i : 3 * i + 3])) for i in range(size)]
+    links = [VirtualLink(u, v, bw) for (u, v), bw in zip(edges, values[3 * size : -1])]
+    return Vnr(request_id, nodes, links, arrival_time, values[-1])

@@ -352,7 +352,11 @@ def _least_demand(demands, vids: list[int]) -> tuple[int, ...]:
 def _finish(
     scratch: _Scratch, params: LocalEmbedParams, inspected: int, max_depth: int
 ) -> LocalEmbedOutcome:
-    """Feasible outcome for a complete tentative placement, priced and scored."""
+    """Outcome for a complete tentative placement, priced and scored.
+
+    Infeasible when the metric is not finite (x * revenue - y * cost
+    overflowed): such a score cannot be ranked or written as JSON.
+    """
     vnr = scratch.vnr
     revenue = revenue_of(vnr)
     solution = EmbeddingSolution(
@@ -365,4 +369,6 @@ def _finish(
     )
     solution.cost = cost_of(vnr, solution)
     solution.metric = metric_of(revenue, solution.cost, params.x, params.y)
+    if not math.isfinite(solution.metric):
+        return LocalEmbedOutcome(False, None, inspected, max_depth)
     return LocalEmbedOutcome(True, solution, inspected, max_depth)

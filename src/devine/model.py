@@ -239,17 +239,6 @@ class PhysicalNetwork:
             self._endpoints = endpoint_arrays(self.links)
         return self._endpoints
 
-    def clone(self) -> PhysicalNetwork:
-        """Independent copy carrying the current residuals; nodes and links are static."""
-        return PhysicalNetwork(
-            list(self.nodes),
-            list(self.links),
-            cpu_free=self.cpu_free,
-            memory_free=self.memory_free,
-            gpu_free=self.gpu_free,
-            bw_free=self.bw_free,
-        )
-
 
 @dataclass
 class VirtualNode:

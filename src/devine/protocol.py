@@ -141,7 +141,9 @@ class ElectionTrace:
         )
 
     def to_jsonl(self) -> str:
-        return "\n".join(json.dumps(asdict(e), sort_keys=True) for e in self.events)
+        return "\n".join(
+            json.dumps(asdict(e), sort_keys=True, allow_nan=False) for e in self.events
+        )
 
 
 class FifoTransport:

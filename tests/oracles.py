@@ -7,16 +7,32 @@ transition matrix is built entry by entry from an edge list.  Two keep
 what a fast path replaced: `best_fit` keeps the package's greedy core and
 swaps only its node choice for the scan over `node_fits`, and `search` is
 the one-sided level fill and descent that the two-sided fill replaced.
+`generate_physical_network` and `generate_vnr` are the per-value
+generators that the one-call draws replaced: one scalar `draw_positive` per
+value and node pairs built as tuples by `itertools.combinations`.
 """
 
 from __future__ import annotations
 
-from itertools import product
+from itertools import combinations, product
 
 import numpy as np
 
-from devine import ConvergenceError, LocalEmbedParams
+from devine import (
+    ConvergenceError,
+    GenerationError,
+    LocalEmbedParams,
+    PhysicalLink,
+    PhysicalNetwork,
+    PhysicalNode,
+    ResourceVector,
+    VirtualLink,
+    VirtualNode,
+    Vnr,
+    draw_positive,
+)
 from devine.baselines import _greedy_by_choice
+from devine.model import _connected
 
 
 def simple_paths(net, src, dst, bw_demand_m, reserved=None, max_hops=None):
@@ -159,6 +175,72 @@ def brute_force_feasible(net, vnr, injective=False):
         if ok and paths_fit(dict(enumerate(combo))):
             return True
     return False
+
+
+def copy_network(net):
+    """Independent network on the same nodes and links, carrying net's residuals."""
+    return PhysicalNetwork(
+        list(net.nodes),
+        list(net.links),
+        cpu_free=net.cpu_free,
+        memory_free=net.memory_free,
+        gpu_free=net.gpu_free,
+        bw_free=net.bw_free,
+    )
+
+
+def connected_edges(rng, num_nodes, probability, max_attempts):
+    """G(n, p) edge sets, one uniform per combinations() pair, until one is connected."""
+    for _ in range(max_attempts):
+        pairs = list(combinations(range(num_nodes), 2))
+        edges = []
+        if pairs:
+            hits = rng.random(len(pairs)) < probability
+            edges = [pair for pair, hit in zip(pairs, hits) if hit]
+        adjacency = [set() for _ in range(num_nodes)]
+        for u, v in edges:
+            adjacency[u].add(v)
+            adjacency[v].add(u)
+        if _connected(num_nodes, adjacency):
+            return edges
+    raise GenerationError(
+        f"no connected graph with n={num_nodes}, p={probability} "
+        f"after {max_attempts} attempts"
+    )
+
+
+def generate_physical_network(cfg, rng):
+    """Substrate drawn one value at a time."""
+    cfg.validate()
+    edges = connected_edges(rng, cfg.server_count, cfg.link_probability, cfg.max_attempts)
+    nodes = []
+    for node_id in range(cfg.server_count):
+        capacity = ResourceVector(
+            cpu=draw_positive(rng, cfg.cpu_capacity, cfg),
+            memory=draw_positive(rng, cfg.memory_capacity, cfg),
+            gpu=draw_positive(rng, cfg.gpu_capacity, cfg),
+        )
+        nodes.append(PhysicalNode(node_id, capacity))
+    links = [PhysicalLink(u, v, draw_positive(rng, cfg.link_bandwidth, cfg)) for u, v in edges]
+    return PhysicalNetwork(nodes, links)
+
+
+def generate_vnr(cfg, request_id, arrival_time, rng):
+    """Request drawn one value at a time."""
+    lo, hi = cfg.vnr_size
+    size = int(rng.integers(lo, hi + 1))
+    edges = connected_edges(rng, size, cfg.vnr_link_probability, cfg.max_attempts)
+    nodes = []
+    for node_id in range(size):
+        demand = ResourceVector(
+            cpu=draw_positive(rng, cfg.cpu_demand, cfg),
+            memory=draw_positive(rng, cfg.memory_demand, cfg),
+            gpu=draw_positive(rng, cfg.gpu_demand, cfg),
+        )
+        nodes.append(VirtualNode(node_id, demand))
+    links = [VirtualLink(u, v, draw_positive(rng, cfg.bandwidth_demand, cfg)) for u, v in edges]
+    lifetime = draw_positive(rng, cfg.lifetime, cfg, floor=cfg.lifetime_floor)
+    return Vnr(request_id, nodes, links, arrival_time, lifetime)
 
 
 def residual_snapshot(net):

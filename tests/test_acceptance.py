@@ -42,7 +42,7 @@ from devine import (
     verify_solution,
 )
 from devine.cli import main as cli_main
-from oracles import brute_force_feasible
+from oracles import brute_force_feasible, copy_network
 
 
 def _verdict(number, ok, detail):
@@ -153,7 +153,7 @@ def test_criterion_2_election_argmax_oracle():
         net = generate_physical_network(cfg, stream(seed, "topology"))
         vnr = generate_vnr(cfg, 0, 0.0, stream(seed, "vnr"))
         primary = int(stream(seed, "primaries").integers(cfg.server_count))
-        frozen = net.clone()
+        frozen = copy_network(net)
         result = run_election(net, vnr, primary, params, rng=stream(seed, "leaders"))
         best_key = max(
             (embed(nid, frozen, vnr, params).metric(), -nid)

@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 import os
 import re
 import subprocess
@@ -202,6 +203,10 @@ def test_config_errors_exit_1(tmp_path, capsys):
         ["compare", "--algorithms", "devine,neurovine", "--out-dir", str(tmp_path)],
         ["compare", "--algorithms", "devine", "--seeds", "1,x", "--out-dir", str(tmp_path)],
         ["validate", "--config", str(tmp_path / "missing.json")],
+        # generation fails: no connected substrate in 100 draws at these densities
+        ["run", "--link-prob", "0.01", "--servers", "10", "--out-dir", str(tmp_path)],
+        ["run", "--servers", "3", "--link-prob", "0", "--duration", "10", "--leaders", "2",
+         "--out-dir", str(tmp_path)],
     ]
     mistyped = [
         {"duration": "100"},
@@ -263,12 +268,25 @@ def test_leader_count_binds_devine_only(tmp_path):
     "flags",
     [
         ["--alpha", "1e308", "--servers", "5"],  # alpha * size overflows to inf
-        ["--x", "1e308", "--y", "1e308", "--servers", "10"],  # every metric is NaN
+        ["--x", "1e308", "--y", "1e308", "--servers", "10"],  # every metric is NaN: all rejected
     ],
 )
 def test_overflowing_finite_settings_still_run(tmp_path, flags):
     assert main(["run", *flags, "--duration", "30", "--out-dir", str(tmp_path)]) == 0
-    assert json.loads((tmp_path / "summary.json").read_text())["conservation_ok"] is True
+    assert _strict_json((tmp_path / "summary.json").read_text())["conservation_ok"] is True
+    _strict_json((tmp_path / "manifest.json").read_text())
+    header, *rows = _read_csv(tmp_path / "per_arrival.csv")
+    metric = header.index("metric")
+    assert rows and all(math.isfinite(float(row[metric])) for row in rows)
+    lines = (tmp_path / "trace.jsonl").read_text().splitlines()
+    assert lines and all(_strict_json(line) for line in lines)
+
+
+def _strict_json(text):
+    def reject(token):
+        raise ValueError(f"non-finite JSON token {token}")
+
+    return json.loads(text, parse_constant=reject)
 
 
 def test_neurovine_message_names_it(capsys):
@@ -285,11 +303,10 @@ def test_malformed_config_file_exits_1(tmp_path, capsys):
 
 
 def test_runtime_failures_exit_2(tmp_path, capsys):
-    # 3 servers with link probability 0 can never form a connected substrate
-    code = main([
-        "run", "--servers", "3", "--link-prob", "0", "--duration", "10",
-        "--leaders", "2", "--out-dir", str(tmp_path),
-    ])
+    # the output directory cannot be made: a file holds its name
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    code = main(["run", "--servers", "10", "--duration", "10", "--out-dir", str(taken)])
     assert code == 2
     assert "runtime error:" in capsys.readouterr().err
 

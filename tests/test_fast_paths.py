@@ -11,7 +11,10 @@ transition matrix from edge arrays and orders nodes by a stable argsort.
 bestfit picks from one fit mask over an array of what is free.  Each must
 give exactly what the exhaustive path oracle, the one-sided search, the
 plain greedy loop, the loop-built rank, the sorted-key order and the
-scanning chooser give.
+scanning chooser give.  The generator draws each request's and each
+substrate's normals in one call and picks G(n, p) pairs from flat indices;
+both must consume the same stream and build the same objects as the
+per-value generators.
 """
 
 from __future__ import annotations
@@ -28,6 +31,8 @@ from hypothesis import strategies as st
 
 from devine import (
     AllocationLedger,
+    GenerationError,
+    GeneratorConfig,
     GrcParams,
     LocalEmbedParams,
     PhysicalLink,
@@ -45,10 +50,15 @@ from devine import (
     from_milli,
     grc_embed,
     grc_rank,
+    generate_physical_network,
+    generate_vnr,
     local_embed,
     map_link,
     release,
+    simulation,
+    stream,
 )
+from devine import generator
 from devine.baselines import _vnr_rank
 from devine.local_embed import LocalEmbedOutcome, _finish, _Scratch
 import oracles
@@ -250,7 +260,7 @@ def test_next_hop_walk_is_the_capacity_blind_best_path(net):
         assert table[dst] == dst
         for src in range(net.num_nodes):
             assert _blind_path(net, src, dst) == best_path(net, src, dst, 0)
-    assert net.clone().next_hops(0) == net.next_hops(0)
+    assert oracles.copy_network(net).next_hops(0) == net.next_hops(0)
 
 
 def plain_greedy_embed(root, net, vnr, params):
@@ -357,10 +367,10 @@ def test_cached_walks_serve_every_root_and_depth_across_calls():
                     paths.update(outcome.solution.path_mapping.values())
                 rid += 1
     assert (1, 0, 2, 3) in paths  # the detour only the level search finds
-    twin = net.clone()
+    twin = oracles.copy_network(net)
     for root in range(net.num_nodes):
         full = twin.walk(root)
-        assert full.order == [(root, 0)]  # a clone starts without cached walks
+        assert full.order == [(root, 0)]  # a new network starts without cached walks
         while full.grow():
             pass
         cached = net.walk(root).order
@@ -484,6 +494,79 @@ def test_power_rank_matches_the_loop_built_reference(net, damping):
     )
     assert _vnr_rank(vnr, params).tobytes() == power_rank(weights, edges, params).tobytes()
 
-    u, v = net.clone().link_endpoints()
+    u, v = oracles.copy_network(net).link_endpoints()
     assert u.tolist() == [l.u for l in net.links]
     assert v.tolist() == [l.v for l in net.links]
+
+
+def _facts(build, facts):
+    """facts(build()), or the message of the GenerationError that build raised."""
+    try:
+        return facts(build())
+    except GenerationError as exc:
+        return f"GenerationError: {exc}"
+
+
+def _substrate_facts(net):
+    nodes = [(n.capacity.cpu_m, n.capacity.memory_m, n.capacity.gpu_m) for n in net.nodes]
+    return nodes, [(l.u, l.v, l.bw_capacity_m) for l in net.links]
+
+
+def _workload_facts(workload):
+    return [(when, vnr.fingerprint(), primary) for when, vnr, primary in workload]
+
+
+@st.composite
+def generator_configs(draw):
+    """Defaults, and distributions that put a third to a half of draws below their floor."""
+    return GeneratorConfig(
+        server_count=draw(st.integers(1, 30)),
+        link_probability=draw(st.sampled_from((0.1, 0.4, 1.0))),
+        cpu_capacity=draw(st.sampled_from(((100.0, 400.0), (0.2, 1.0)))),
+        vnr_size=draw(st.sampled_from(((1, 1), (1, 4), (4, 10)))),
+        vnr_link_probability=draw(st.sampled_from((0.3, 0.7))),
+        cpu_demand=draw(st.sampled_from(((10.0, 4.0), (0.2, 1.0)))),
+        lifetime=draw(st.sampled_from(((100.0, 900.0), (1.0, 100.0)))),
+        second_parameter=draw(st.sampled_from(("variance", "std"))),
+        arrival_rate=draw(st.sampled_from((0.5, 2.0))),
+        max_attempts=20,
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(cfg=generator_configs(), seed=st.integers(0, 2**32))
+def test_generator_matches_the_per_value_reference(cfg, seed):
+    fast_rng, slow_rng = stream(seed, "topology"), stream(seed, "topology")
+    fast = _facts(lambda: generate_physical_network(cfg, fast_rng), _substrate_facts)
+    slow = _facts(lambda: oracles.generate_physical_network(cfg, slow_rng), _substrate_facts)
+    assert fast == slow
+    assert fast_rng.bit_generator.state == slow_rng.bit_generator.state
+
+    fast_rng, slow_rng = stream(seed, "vnr"), stream(seed, "vnr")
+    for request_id in range(5):
+        fast = _facts(lambda: generate_vnr(cfg, request_id, 0.0, fast_rng), Vnr.fingerprint)
+        slow = _facts(lambda: oracles.generate_vnr(cfg, request_id, 0.0, slow_rng), Vnr.fingerprint)
+        assert fast == slow
+        assert fast_rng.bit_generator.state == slow_rng.bit_generator.state
+
+    fast = _facts(lambda: simulation.build_workload(cfg, 15.0, seed), _workload_facts)
+    with mock.patch.object(simulation, "generate_vnr", oracles.generate_vnr):
+        slow = _facts(lambda: simulation.build_workload(cfg, 15.0, seed), _workload_facts)
+    assert fast == slow
+
+
+def test_a_hopeless_floor_fails_alike_on_both_generators():
+    substrate_cfg = GeneratorConfig(server_count=4, cpu_capacity=(0.0, 0.0))
+    request_cfg = GeneratorConfig(lifetime=(0.0, 1e-12))
+    cases = (
+        ("topology", lambda gen, rng: gen.generate_physical_network(substrate_cfg, rng)),
+        ("vnr", lambda gen, rng: gen.generate_vnr(request_cfg, 0, 0.0, rng)),
+    )
+    for name, generate in cases:
+        outcomes = []
+        for gen in (generator, oracles):
+            rng = stream(7, name)
+            message = _facts(lambda: generate(gen, rng), repr)
+            outcomes.append((message, rng.bit_generator.state))
+        assert outcomes[0][0].startswith("GenerationError: could not draw a value >=")
+        assert outcomes[0] == outcomes[1]

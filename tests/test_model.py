@@ -12,6 +12,7 @@ from devine import (
     to_milli,
 )
 from devine.model import _connected
+from oracles import copy_network
 
 
 def test_milli_round_trip():
@@ -96,11 +97,11 @@ def test_network_connectivity():
     assert _is_connected(PhysicalNetwork([PhysicalNode(0, ResourceVector(1))], []))
 
 
-def test_network_clone_is_independent():
+def test_network_built_from_residuals_is_independent():
     net = _triangle()
     net.cpu_free[1] = 5
     net.bw_free[2] = 6
-    twin = net.clone()
+    twin = copy_network(net)
     assert twin.cpu_free == [100000, 5, 100000]  # carries the current residuals
     assert twin.bw_free == [50000, 60000, 6]
     twin.cpu_free[0] = twin.memory_free[0] = twin.gpu_free[0] = 1

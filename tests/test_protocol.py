@@ -32,7 +32,7 @@ from devine import (
     stream,
 )
 from devine import protocol
-from oracles import residual_snapshot
+from oracles import copy_network, residual_snapshot
 
 
 def _line_net(n=5, cpu=100.0, bw=100.0):
@@ -357,7 +357,7 @@ def test_real_elections_pick_the_best_local_embedding():
         vnr = generate_vnr(cfg, 0, 0.0, stream(seed, "vnr"))
         rng = stream(seed, "leaders")
         primary = int(stream(seed, "primaries").integers(0, 12))
-        frozen = net.clone()
+        frozen = copy_network(net)
         result = run_election(net, vnr, primary, params, rng=rng)
         expected = max(
             (embed(nid, frozen, vnr, params).metric(), -nid)
