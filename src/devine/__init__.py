@@ -54,7 +54,6 @@ from .protocol import (
     ElectionParams,
     EmbeddedMsg,
     EmbeddingMsg,
-    FifoTransport,
     LeaderRing,
     LeaderState,
     ProtocolError,

@@ -15,6 +15,7 @@ from datetime import datetime, timezone
 from pathlib import Path
 
 from . import __version__
+from .baselines import ConvergenceError
 from .generator import GenerationError
 from .simulation import (
     ALGORITHMS,
@@ -266,8 +267,8 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "compare":
             return cmd_compare(args)
         return cmd_validate(args)
-    except (ConfigError, GenerationError) as exc:
-        # seed and config alone decide whether generation succeeds
+    except (ConfigError, ConvergenceError, GenerationError) as exc:
+        # seed and config alone decide whether generation and grc ranks succeed
         print(f"config error: {exc}", file=sys.stderr)
         return 1
     except Exception as exc:  # noqa: BLE001 - the CLI boundary reports, not raises

@@ -39,6 +39,9 @@ from .model import (
 # Cap on substrate and request sizes: the generator draws one number per node
 # pair, so a typo in a size fails validation instead of exhausting memory.
 MAX_NODES = 1000
+# Cap on every distribution's mean and spread: amounts become int64
+# milli-units, which overflow above about 9.2e15.
+MAX_AMOUNT = 1e12
 
 _STREAM_IDS = {"topology": 0, "vnr": 1, "primaries": 2, "leaders": 3}
 _MASK64 = (1 << 64) - 1
@@ -126,6 +129,8 @@ class GeneratorConfig:
             dist = getattr(self, name)
             if not all(math.isfinite(value) for value in dist):
                 raise ValueError(f"{name} must be finite, got {dist}")
+            if max(abs(value) for value in dist) > MAX_AMOUNT:
+                raise ValueError(f"{name} may not exceed {MAX_AMOUNT:g} in magnitude, got {dist}")
             self.std_of(dist)
 
 

@@ -5,14 +5,14 @@ embedding, and sends a proposal around the ring.  Each leader forwards a
 proposal that beats its own and overwrites one that does not; a leader that
 receives its own proposal back has won and circulates the final solution.
 Ties cannot livelock: proposals are ordered by (metric, -node id), so equal
-metrics resolve toward the lowest node id.
+metrics resolve toward the lowest node id.  A leader passes on at most one
+message per delivery, so one message is in flight at a time.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from collections import deque
 from dataclasses import asdict, dataclass
 from typing import Callable
 
@@ -83,29 +83,21 @@ class EmbeddedMsg:
     solution: EmbeddingSolution | None
 
 
+@dataclass(frozen=True)
 class LeaderState:
-    """One leader's view of a single election."""
+    """One leader's view of a single election: its own local embedding."""
 
-    def __init__(self, node_id: int, ring: LeaderRing, embedder: Callable[[], LocalEmbedOutcome]):
-        self.node_id = node_id
-        self.ring = ring
-        self._embedder = embedder
-        self._outcome: LocalEmbedOutcome | None = None
-
-    def outcome(self) -> LocalEmbedOutcome:
-        """Local embedding, computed at most once per election."""
-        if self._outcome is None:
-            self._outcome = self._embedder()
-        return self._outcome
+    node_id: int
+    outcome: LocalEmbedOutcome
 
     def proposal(self) -> EmbeddingMsg:
         """This leader's own claim, built from its local embedding."""
-        return EmbeddingMsg(self.node_id, self.outcome().metric())
+        return EmbeddingMsg(self.node_id, self.outcome.metric())
 
 
 @dataclass
 class TraceEvent:
-    """One transported message in an election."""
+    """One delivered message in an election."""
 
     seq: int
     request_id: int
@@ -117,7 +109,7 @@ class TraceEvent:
 
 
 class ElectionTrace:
-    """Ordered log of every transported message in one election."""
+    """Ordered log of every delivered message in one election."""
 
     def __init__(self, request_id: int):
         self.request_id = request_id
@@ -146,34 +138,18 @@ class ElectionTrace:
         )
 
 
-class FifoTransport:
-    """Reliable in-order delivery; one global queue drained deterministically."""
-
-    def __init__(self):
-        self._queue: deque[tuple[int, int, object]] = deque()
-
-    def send(self, sender: int, receiver: int, msg) -> None:
-        self._queue.append((sender, receiver, msg))
-
-    def deliver_next(self) -> tuple[int, int, object] | None:
-        return self._queue.popleft() if self._queue else None
-
-
-def handle_embedding(state: LeaderState, msg: EmbeddingMsg) -> list[tuple[int, object]]:
-    """React to a circulating proposal; returns (receiver, message) sends."""
-    successor = state.ring.successor(state.node_id)
+def handle_embedding(state: LeaderState, msg: EmbeddingMsg) -> EmbeddingMsg | EmbeddedMsg:
+    """React to a circulating proposal; returns the message passed on."""
     if msg.originator == state.node_id:
         # own proposal survived the full circle: announce the result
-        return [(successor, EmbeddedMsg(state.node_id, state.outcome().solution))]
+        return EmbeddedMsg(state.node_id, state.outcome.solution)
     own = state.proposal()
-    return [(successor, msg if msg.key() > own.key() else own)]
+    return msg if msg.key() > own.key() else own
 
 
-def handle_embedded(state: LeaderState, msg: EmbeddedMsg) -> list[tuple[int, object]]:
+def handle_embedded(state: LeaderState, msg: EmbeddedMsg) -> EmbeddedMsg | None:
     """React to the final announcement; the winner absorbs it, others forward."""
-    if msg.winner == state.node_id:
-        return []
-    return [(state.ring.successor(state.node_id), msg)]
+    return None if msg.winner == state.node_id else msg
 
 
 def select_leaders(
@@ -207,13 +183,12 @@ def run_election(
     *,
     rng: np.random.Generator | None = None,
     ring: LeaderRing | None = None,
-    transport: FifoTransport | None = None,
     embedder: Callable[[int], LocalEmbedOutcome] | None = None,
 ) -> ElectionResult:
     """Run one full election for a request and return the winner's embedding.
 
-    Every leader computes its local embedding at most once, against the
-    shared network state as it stands at election start.  The election
+    Every leader computes its local embedding once, in ring order, against
+    the shared network state as it stands at election start.  The election
     never mutates the network: the caller allocates the winning solution.
     """
     params = params or ElectionParams()
@@ -228,31 +203,29 @@ def run_election(
         def embedder(nid: int) -> LocalEmbedOutcome:
             return embed(nid, net, vnr, params)
 
-    states = {nid: LeaderState(nid, ring, (lambda n=nid: embedder(n))) for nid in ring.members}
+    states = {nid: LeaderState(nid, embedder(nid)) for nid in ring.members}
     trace = ElectionTrace(vnr.request_id)
     winner = primary
 
     if len(ring.members) > 1:
         # a correct ring delivers at most 2L-1 EMBEDDING and L EMBEDDED messages
         max_deliveries = 3 * len(ring.members) - 1
-        transport = transport or FifoTransport()
-        transport.send(primary, ring.successor(primary), states[primary].proposal())
-        while (delivery := transport.deliver_next()) is not None:
-            sender, receiver, msg = delivery
+        sender, msg = primary, states[primary].proposal()
+        while msg is not None:
+            receiver = ring.successor(sender)
             trace.record_message(sender, receiver, msg)
             if len(trace.events) > max_deliveries:
                 raise ProtocolError(
                     f"election for request {vnr.request_id} exceeded {max_deliveries} deliveries"
                 )
             if isinstance(msg, EmbeddingMsg):
-                sends = handle_embedding(states[receiver], msg)
+                msg = handle_embedding(states[receiver], msg)
             else:
                 winner = msg.winner
-                sends = handle_embedded(states[receiver], msg)
-            for to, outgoing in sends:
-                transport.send(receiver, to, outgoing)
+                msg = handle_embedded(states[receiver], msg)
+            sender = receiver
         # the announcement halts at the winner once it has reached every leader
         if trace.embedded_count != len(ring.members):
             raise ProtocolError(f"election for request {vnr.request_id} halted early")
 
-    return ElectionResult(states[winner].outcome(), trace, winner, ring)
+    return ElectionResult(states[winner].outcome, trace, winner, ring)

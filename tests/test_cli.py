@@ -1,17 +1,22 @@
+import contextlib
 import csv
+import io
 import json
 import math
 import os
 import re
 import subprocess
 import sys
+import tempfile
 from dataclasses import fields
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import devine
-from devine import ElectionParams, GeneratorConfig, SimConfig, __version__
+from devine import ALGORITHMS, ElectionParams, GeneratorConfig, SimConfig, __version__
 from devine.cli import OVERRIDES, main
 
 
@@ -219,6 +224,17 @@ def test_config_errors_exit_1(tmp_path, capsys):
         config_path = tmp_path / f"mistyped{i}.json"
         config_path.write_text(json.dumps(config))
         cases.append(["run", "--config", str(config_path), "--out-dir", str(tmp_path)])
+    unrunnable = [  # (config, algorithm)
+        ({"grc": {"tolerance": 1e-300}}, "grc"),  # the rank never converges
+        ({"grc": {"damping": 0.999999999999, "max_iterations": 5}}, "grc"),
+        ({"generator": {"cpu_capacity": [1e16, 400.0]}}, "bestfit"),  # overflows int64
+        ({"generator": {"memory_capacity": [2e305, 300.0]}}, "devine"),  # milli-units inf
+    ]
+    for i, (config, algorithm) in enumerate(unrunnable):
+        config_path = tmp_path / f"unrunnable{i}.json"
+        config_path.write_text(json.dumps(config))
+        cases.append(["run", "--config", str(config_path), "--algorithm", algorithm,
+                      "--servers", "10", "--duration", "30", "--out-dir", str(tmp_path)])
     for name, text in (("number.json", "5"), ("null.json", "null")):
         config_path = tmp_path / name  # valid JSON, but not an object
         config_path.write_text(text)
@@ -287,6 +303,67 @@ def _strict_json(text):
         raise ValueError(f"non-finite JSON token {token}")
 
     return json.loads(text, parse_constant=reject)
+
+
+EXTREMES = (0, 5e-324, -1, 1e16, 1e300, 1e308, math.inf, -math.inf, math.nan)
+# a large duration or arrival rate is a valid config that runs for minutes
+BOUNDED = {"duration": 30, "arrival_rate": 5}
+
+
+@st.composite
+def extreme_configs(draw):
+    """Small default-based configs with one to three numbers set to extremes."""
+    config = json.loads(json.dumps(SimConfig().to_dict()))
+    gen = config["generator"]
+    gen["server_count"] = draw(st.integers(1, 30))
+    lo = draw(st.integers(1, 10))
+    gen["vnr_size"] = [lo, draw(st.integers(lo, 10))]
+    gen["arrival_rate"] = draw(st.floats(0, BOUNDED["arrival_rate"]))
+    gen["arrival_process"] = draw(st.sampled_from(["poisson", "uniform"]))
+    gen["second_parameter"] = draw(st.sampled_from(["variance", "std"]))
+    config["election"]["leaders"] = draw(st.integers(1, 5))
+    config["duration"] = draw(st.floats(0, BOUNDED["duration"]))
+    config["algorithm"] = draw(st.sampled_from(ALGORITHMS))
+    config["seed"] = draw(st.integers(0, 2**32))
+    slots = []  # (section dict, key, index within a pair or None)
+    for values in (config, *(v for v in config.values() if isinstance(v, dict))):
+        for key, value in values.items():
+            if isinstance(value, list):
+                slots += [(values, key, 0), (values, key, 1)]
+            elif isinstance(value, (int, float)) and not isinstance(value, bool):
+                slots.append((values, key, None))
+    for values, key, index in draw(st.lists(st.sampled_from(slots), min_size=1, max_size=3)):
+        bound = BOUNDED.get(key, math.inf)
+        value = draw(st.sampled_from([v for v in EXTREMES if not bound < v < math.inf]))
+        if index is None:
+            values[key] = value
+        else:
+            values[key][index] = value
+    return config
+
+
+@settings(max_examples=100, deadline=None)
+@given(config=extreme_configs())
+def test_any_config_runs_clean_or_exits_1(config):
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp)
+        config_path = out / "config.json"
+        config_path.write_text(json.dumps(config))  # inf and nan as Infinity/NaN tokens
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(["run", "--config", str(config_path), "--out-dir", str(out)])
+        if code == 1:
+            assert "config error:" in err.getvalue()
+            return
+        assert code == 0, err.getvalue()
+        summary = _strict_json((out / "summary.json").read_text())
+        assert all(
+            math.isfinite(value) for value in summary.values() if isinstance(value, (int, float))
+        )
+        _strict_json((out / "manifest.json").read_text())
+        if config["algorithm"] == "devine":
+            for line in (out / "trace.jsonl").read_text().splitlines():
+                _strict_json(line)
 
 
 def test_neurovine_message_names_it(capsys):

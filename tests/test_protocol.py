@@ -9,9 +9,9 @@ from hypothesis import strategies as st
 from devine import (
     INFEASIBLE,
     ElectionParams,
+    EmbeddedMsg,
     EmbeddingMsg,
     EmbeddingSolution,
-    FifoTransport,
     GeneratorConfig,
     LeaderRing,
     LeaderState,
@@ -26,6 +26,7 @@ from devine import (
     embed,
     generate_physical_network,
     generate_vnr,
+    handle_embedded,
     handle_embedding,
     run_election,
     select_leaders,
@@ -94,34 +95,33 @@ def test_select_leaders_shape_and_determinism():
         select_leaders(net, 0, 0, np.random.default_rng(0))
 
 
-def _fixed_state(node_id, metric, ring):
+def _fixed_state(node_id, metric):
     outcome = LocalEmbedOutcome(
         True, EmbeddingSolution(0, {0: node_id}, {}, 1.0, 1.0, metric), 1, 0
     )
-    return LeaderState(node_id, ring, lambda: outcome)
+    return LeaderState(node_id, outcome)
 
 
 def test_handle_embedding_forwards_takes_over_and_breaks_ties():
-    ring = LeaderRing((0, 1, 2, 3))
-    state = _fixed_state(1, 5.0, ring)
+    state = _fixed_state(1, 5.0)
 
     dominant = EmbeddingMsg(3, 7.0)
-    sends = handle_embedding(state, dominant)
-    assert sends == [(2, dominant)]  # forwarded unchanged
+    assert handle_embedding(state, dominant) == dominant  # forwarded unchanged
 
     weaker = EmbeddingMsg(3, 4.0)
-    [(to, out)] = handle_embedding(state, weaker)
-    assert to == 2
-    assert (out.originator, out.metric) == (1, 5.0)  # takeover
+    assert handle_embedding(state, weaker) == EmbeddingMsg(1, 5.0)  # takeover
 
     # equal metric from a higher node id loses to this leader
-    tied = EmbeddingMsg(3, 5.0)
-    [(_, out)] = handle_embedding(state, tied)
-    assert out.originator == 1
+    assert handle_embedding(state, EmbeddingMsg(3, 5.0)) == EmbeddingMsg(1, 5.0)
     # equal metric from a lower node id wins and travels on
-    state2 = _fixed_state(2, 5.0, ring)
     tied_low = EmbeddingMsg(1, 5.0)
-    assert handle_embedding(state2, tied_low) == [(3, tied_low)]
+    assert handle_embedding(_fixed_state(2, 5.0), tied_low) == tied_low
+
+    # own proposal back: announce; the announcement stops at its winner
+    announced = handle_embedding(state, EmbeddingMsg(1, 5.0))
+    assert announced == EmbeddedMsg(1, state.outcome.solution)
+    assert handle_embedded(_fixed_state(2, 5.0), announced) == announced
+    assert handle_embedded(state, announced) is None
 
 
 def test_five_leader_election_hand_traced():
@@ -236,29 +236,15 @@ def test_election_requires_ring_or_rng_and_consistent_primary():
             ElectionParams(**bad).validate()
 
 
-class _StallingTransport(FifoTransport):
-    """Delivers only the first few messages, then goes silent."""
-
-    def __init__(self, allowed):
-        super().__init__()
-        self.allowed = allowed
-
-    def deliver_next(self):
-        if self.allowed == 0:
-            return None
-        self.allowed -= 1
-        return super().deliver_next()
-
-
-def test_stalled_transport_raises_instead_of_hanging():
-    net = _line_net(5)
+def test_announcement_dropped_before_the_winner_raises_halted_early(monkeypatch):
+    # a leader swallows the announcement, so it never reaches every leader
+    monkeypatch.setattr(protocol, "handle_embedded", lambda state, msg: None)
     vnr = _one_node_vnr()
-    with pytest.raises(ProtocolError):
+    with pytest.raises(ProtocolError, match="halted early"):
         run_election(
-            net, vnr, 0,
+            _line_net(5), vnr, 0,
             ElectionParams(leaders=5),
             ring=LeaderRing((0, 1, 2, 3, 4)),
-            transport=_StallingTransport(3),
             embedder=_stub_embedder({nid: 1.0 for nid in range(5)}, vnr, {}),
         )
 
@@ -271,7 +257,7 @@ def test_announcement_forwarded_past_the_winner_raises_instead_of_hanging(monkey
         # the winner forwards its own announcement instead of absorbing it
         forwarded.append(state.node_id)
         assert len(forwarded) < 100, "the election did not stop"
-        return [(state.ring.successor(state.node_id), msg)]
+        return msg
 
     monkeypatch.setattr(protocol, "handle_embedded", faulty_handle_embedded)
     vnr = _one_node_vnr()
@@ -340,6 +326,11 @@ def test_election_elects_the_best_proposal_within_the_ring_bound(election):
     assert result.trace.embedded_count == size
     kinds = [e.kind for e in events]
     assert kinds == ["EMBEDDING"] * result.trace.embedding_count + ["EMBEDDED"] * size
+    # hop by hop, the proposal is the best over the ring prefix it has passed,
+    # and the winner's once the first circle is done
+    for i, event in enumerate(events[:result.trace.embedding_count]):
+        passed = members[:min(i + 1, size)]
+        assert event.subject == max(passed, key=lambda nid: (rank[nid], -nid))
     assert {e.subject for e in events if e.kind == "EMBEDDED"} == {winner}
     assert [e.receiver for e in events] == [
         members[(i + 1) % size] for i in range(len(events))
