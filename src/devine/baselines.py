@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .local_embed import LocalEmbedOutcome, LocalEmbedParams, _finish, _Scratch, demand_order
-from .model import PhysicalNetwork, Vnr, endpoint_arrays, require_finite
+from .model import PhysicalNetwork, Vnr, require_finite
 
 
 class ConvergenceError(RuntimeError):
@@ -105,20 +105,29 @@ def best_fit(
     return _greedy_by_choice(net, vnr, params, choose)
 
 
+def _transition(u: np.ndarray, v: np.ndarray, w: np.ndarray, n: int, count: int = 1) -> np.ndarray:
+    """`count` column-stochastic (n, n) matrices, stacked; graph k's node j is k*n + j."""
+    size = count * n
+    # weights are whole milli-units, so these sums are exact in any order
+    col_sums = np.bincount(u, w, size) + np.bincount(v, w, size)
+    degree = np.bincount(u, minlength=size) + np.bincount(v, minlength=size)
+    # a drained column holds 1/degree for each neighbor instead of w/col_sum
+    drained = col_sums == 0
+    col_sums[drained] = degree[drained]
+    local_u, local_v = (u, v) if count == 1 else (u % n, v % n)
+    transition = np.zeros((size, n))
+    transition[v, local_u] = np.where(drained[u], 1.0, w) / col_sums[u]
+    transition[u, local_v] = np.where(drained[v], 1.0, w) / col_sums[v]
+    return transition.reshape(count, n, n)
+
+
 def _power_rank(
-    weights: np.ndarray,
-    u: np.ndarray,
-    v: np.ndarray,
-    w: np.ndarray,
-    params: GrcParams,
+    weights: np.ndarray, u: np.ndarray, v: np.ndarray, w: np.ndarray, params: GrcParams
 ) -> np.ndarray:
     """Damped fixed point r = (1-d)*c + d*T*r on an undirected weighted graph.
 
     The graph's edges are (u[i], v[i]) with weight w[i], at most one per
-    node pair.  c is `weights` normalized to sum 1; column j of T spreads
-    over j's neighbors proportionally to edge weight, or uniformly when all
-    of j's incident weight is zero (keeps T column-stochastic, so ranks sum
-    to 1).
+    node pair; c is `weights` normalized to sum 1 and T is `_transition`'s.
     """
     n = len(weights)
     if n == 0:  # an empty substrate: nothing to rank
@@ -127,15 +136,7 @@ def _power_rank(
     c = np.full(n, 1.0 / n) if total <= 0 else weights / total
     if n == 1:
         return c.copy()
-    # weights are whole milli-units, so these sums are exact in any order
-    col_sums = np.bincount(u, w, n) + np.bincount(v, w, n)
-    degree = np.bincount(u, minlength=n) + np.bincount(v, minlength=n)
-    # a drained column holds 1/degree for each neighbor instead of w/col_sum
-    drained = col_sums == 0
-    col_sums[drained] = degree[drained]
-    transition = np.zeros((n, n))
-    transition[v, u] = np.where(drained[u], 1.0, w) / col_sums[u]
-    transition[u, v] = np.where(drained[v], 1.0, w) / col_sums[v]
+    transition = _transition(u, v, w, n)[0]
     d = params.damping
     teleport = (1.0 - d) * c
     rank = c.copy()
@@ -159,11 +160,52 @@ def grc_rank(net: PhysicalNetwork, params: GrcParams | None = None) -> np.ndarra
     return _power_rank(weights, u, v, w, params)
 
 
-def _vnr_rank(vnr: Vnr, params: GrcParams) -> np.ndarray:
-    weights = np.array([n.demand.cpu_m for n in vnr.nodes], dtype=float)
-    u, v = endpoint_arrays(vnr.links)
-    w = np.array([l.bw_demand_m for l in vnr.links], dtype=float)
-    return _power_rank(weights, u, v, w, params)
+_STACK_ENTRIES = 1 << 20  # the most transition-matrix entries one stack of requests holds
+
+
+def _stacked_rank(vnrs: list[Vnr], n: int, params: GrcParams) -> np.ndarray:
+    """`_power_rank` of each n-node request, a row each, by one stacked iteration.
+
+    Each step runs `_power_rank`'s BLAS kernel per request, so each row has its
+    bytes; a request that settles keeps that step's ranks and leaves the stack.
+    """
+    weights = np.array([[node.demand.cpu_m for node in r.nodes] for r in vnrs], dtype=float)
+    total = weights.sum(axis=1)[:, None]
+    c = np.where(total <= 0, 1.0 / n, weights / np.where(total <= 0, 1.0, total))
+    if n == 1:
+        return c
+    edges = [(k * n + l.u, k * n + l.v, l.bw_demand_m) for k, r in enumerate(vnrs) for l in r.links]
+    u, v, w = np.array(edges, dtype=float).reshape(-1, 3).T
+    transition = _transition(u.astype(np.intp), v.astype(np.intp), w, n, len(vnrs))
+    teleport = (1.0 - params.damping) * c
+    rank, ranks, live = c, np.empty_like(c), np.arange(len(vnrs))
+    for _ in range(params.max_iterations):
+        updated = teleport + params.damping * (transition @ rank[:, :, None])[:, :, 0]
+        settled = abs(updated - rank).max(axis=1) < params.tolerance
+        ranks[live[settled]] = updated[settled]
+        if settled.all():
+            return ranks
+        if settled.any():
+            live, transition, teleport = live[~settled], transition[~settled], teleport[~settled]
+            updated = updated[~settled]
+        rank = updated
+    raise ConvergenceError(
+        f"rank iteration did not reach {params.tolerance} within {params.max_iterations} steps"
+    )
+
+
+def vnr_orders(vnrs: list[Vnr], params: GrcParams) -> dict[int, list[int]]:
+    """Request id -> its virtual nodes by GRC rank, ties by id; one stack per request size."""
+    by_size: dict[int, list[Vnr]] = {}
+    for vnr in vnrs:
+        by_size.setdefault(vnr.num_nodes, []).append(vnr)
+    orders = {}
+    for n, group in by_size.items():
+        chunk = max(1, _STACK_ENTRIES // (n * n))
+        for stack in (group[i : i + chunk] for i in range(0, len(group), chunk)):
+            rows = np.argsort(-_stacked_rank(stack, n, params), axis=1, kind="stable")
+            orders.update(zip((vnr.request_id for vnr in stack), rows.tolist()))
+    return orders
 
 
 def grc_embed(
@@ -171,14 +213,15 @@ def grc_embed(
     vnr: Vnr,
     grc_params: GrcParams | None = None,
     params: LocalEmbedParams | None = None,
+    virt_order: list[int] | None = None,
 ) -> LocalEmbedOutcome:
     """Rank-ordered greedy mapping: high-rank demand onto high-rank capacity."""
     grc_params = grc_params or GrcParams()
     grc_params.validate()
     params = params or LocalEmbedParams()
     net_rank = grc_rank(net, grc_params)
-    vnr_rank = _vnr_rank(vnr, grc_params)
+    if virt_order is None:  # not ranked up front by vnr_orders
+        virt_order = vnr_orders([vnr], grc_params)[vnr.request_id]
     # a stable sort of the negated ranks orders by rank, ties by id
     phys_order = np.argsort(-net_rank, kind="stable").tolist()
-    virt_order = np.argsort(-vnr_rank, kind="stable").tolist()
     return _greedy_by_choice(net, vnr, params, _first_fitting(phys_order), virt_order)

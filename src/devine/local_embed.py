@@ -103,7 +103,7 @@ def map_link(
     # _search's two-sided fill and descent would give, since the feasible
     # shortest paths are among the capacity-blind ones and the walk yields
     # the smallest of those.
-    hops = net.next_hops(dst)
+    hops = net.next_hops(dst, src)
     path = [src]
     blocked = False
     here = src

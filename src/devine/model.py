@@ -90,15 +90,6 @@ def _build_adjacency(num_nodes: int, links) -> list[dict[int, int]]:
     return adjacency
 
 
-def endpoint_arrays(links) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only intp arrays of each link's u and v, by link index."""
-    u = np.array([link.u for link in links], dtype=np.intp)
-    v = np.array([link.v for link in links], dtype=np.intp)
-    u.flags.writeable = False
-    v.flags.writeable = False
-    return u, v
-
-
 class Walk:
     """Breadth-first order of (node, depth) pairs from one root, grown on demand.
 
@@ -178,9 +169,10 @@ class PhysicalNetwork:
         self.bw_free = _free_list(bw_free, [l.bw_capacity_m for l in links], "bandwidth")
         self.adjacency = _build_adjacency(len(nodes), links)
         self._neighbors = [sorted(nbs) for nbs in self.adjacency]
-        # built one destination at a time on first use: building all of them
-        # here would charge every destination to network setup
+        # grown one destination at a time, as far as the walks need: building
+        # all of them here would charge every destination to network setup
         self._next_hops: list[list[int] | None] = [None] * len(nodes)
+        self._hop_frontiers: list[list[int] | None] = [None] * len(nodes)
         self._walks: list[Walk | None] = [None] * len(nodes)
         self._endpoints: tuple[np.ndarray, np.ndarray] | None = None
 
@@ -199,31 +191,31 @@ class PhysicalNetwork:
     def link_index(self, u: int, v: int) -> int | None:
         return self.adjacency[u].get(v)
 
-    def next_hops(self, dst: int) -> list[int]:
-        """Capacity-blind shortest-path steps towards dst.
+    def next_hops(self, dst: int, src: int) -> list[int]:
+        """Capacity-blind shortest-path steps towards dst, grown until entry src is set.
 
         Entry v is v's smallest-id neighbor one hop closer to dst, so walking
-        the entries from any node traces the lexicographically smallest
-        shortest path to dst.  Entry dst is dst itself; entry v is -1 when v
-        cannot reach dst.  The topology is static, so each table is built
-        once, by one breadth-first search.
+        the entries from src traces the lexicographically smallest shortest
+        path to dst.  Entry dst is dst itself; entry v is -1 when v cannot reach
+        dst or lies past the levels grown so far.  The topology is static, so a
+        table keeps its levels and grows a whole level at a time as walks need.
         """
         table = self._next_hops[dst]
         if table is None:
-            table = [-1] * self.num_nodes
+            table = self._next_hops[dst] = [-1] * self.num_nodes
             table[dst] = dst
-            frontier = [dst]
-            while frontier:
-                reached = []
-                # ascending frontier ids: a node's first discoverer is its
-                # smallest-id neighbor on the previous level
-                for here in frontier:
-                    for nb in self._neighbors[here]:
-                        if table[nb] < 0:
-                            table[nb] = here
-                            reached.append(nb)
-                frontier = sorted(reached)
-            self._next_hops[dst] = table
+            self._hop_frontiers[dst] = [dst]
+        frontier = self._hop_frontiers[dst]
+        while table[src] < 0 and frontier:
+            reached = []
+            # ascending frontier ids: a node's first discoverer is its
+            # smallest-id neighbor on the previous level
+            for here in frontier:
+                for nb in self._neighbors[here]:
+                    if table[nb] < 0:
+                        table[nb] = here
+                        reached.append(nb)
+            frontier = self._hop_frontiers[dst] = sorted(reached)
         return table
 
     def walk(self, root: int) -> Walk:
@@ -234,9 +226,12 @@ class PhysicalNetwork:
         return walk
 
     def link_endpoints(self) -> tuple[np.ndarray, np.ndarray]:
-        """Endpoint arrays (u, v) of every link; built once, the topology is static."""
+        """Read-only intp arrays (u, v) of every link's ends; built once, the topology is static."""
         if self._endpoints is None:
-            self._endpoints = endpoint_arrays(self.links)
+            u = np.array([link.u for link in self.links], dtype=np.intp)
+            v = np.array([link.v for link in self.links], dtype=np.intp)
+            u.flags.writeable = v.flags.writeable = False
+            self._endpoints = u, v
         return self._endpoints
 
 

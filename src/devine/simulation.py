@@ -14,7 +14,7 @@ from dataclasses import asdict, dataclass, field, is_dataclass, replace
 from statistics import median
 from typing import get_args, get_origin, get_type_hints
 
-from .baselines import GrcParams, best_fit, first_fit, grc_embed
+from .baselines import GrcParams, best_fit, first_fit, grc_embed, vnr_orders
 # verify_solution is imported only so benchmarks/layers.py can wrap it here
 from .embedding import (
     AllocationError,
@@ -209,6 +209,8 @@ def run_simulation(cfg: SimConfig) -> SimulationResult:
     workload = build_workload(cfg.generator, cfg.duration, cfg.seed)
     leader_rng = stream(cfg.seed, "leaders")
     ledger = AllocationLedger()
+    # grc ranks every request once, up front: a request's rank ignores the substrate
+    orders = vnr_orders([vnr for _, vnr, _ in workload], cfg.grc) if cfg.algorithm == "grc" else {}
 
     events: list[tuple[float, int, int, object]] = []
     for when, vnr, primary in workload:
@@ -279,7 +281,7 @@ def run_simulation(cfg: SimConfig) -> SimulationResult:
         elif cfg.algorithm == "bestfit":
             outcome = best_fit(net, vnr, cfg.election)
         else:
-            outcome = grc_embed(net, vnr, cfg.grc, cfg.election)
+            outcome = grc_embed(net, vnr, cfg.grc, cfg.election, orders[request_id])
         solution = outcome.solution
         accepted = outcome.feasible
         if accepted:

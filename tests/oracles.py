@@ -7,6 +7,8 @@ transition matrix is built entry by entry from an edge list.  Two keep
 what a fast path replaced: `best_fit` keeps the package's greedy core and
 swaps only its node choice for the scan over `node_fits`, and `search` is
 the one-sided level fill and descent that the two-sided fill replaced.
+`next_hop_table` is the whole-substrate breadth-first table that the
+per-destination tables grown on demand replaced.
 `generate_physical_network` and `generate_vnr` are the per-value
 generators that the one-call draws replaced: one scalar `draw_positive` per
 value and node pairs built as tuples by `itertools.combinations`.
@@ -64,6 +66,25 @@ def simple_paths(net, src, dst, bw_demand_m, reserved=None, max_hops=None):
         return [(src,)]
     walk([src])
     return out
+
+
+def next_hop_table(net, dst):
+    """Every node's smallest-id neighbor one hop closer to dst, by one whole BFS.
+
+    Entry dst is dst itself; entry v is -1 when v cannot reach dst.
+    """
+    table = [-1] * net.num_nodes
+    table[dst] = dst
+    frontier = [dst]
+    while frontier:
+        reached = []
+        for here in frontier:  # ascending ids: the first discoverer is the smallest
+            for nb in net.neighbors(here):
+                if table[nb] < 0:
+                    table[nb] = here
+                    reached.append(nb)
+        frontier = sorted(reached)
+    return table
 
 
 def best_path(net, src, dst, bw_demand_m, reserved=None, max_hops=None):

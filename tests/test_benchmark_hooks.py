@@ -50,3 +50,6 @@ def test_traced_run_records_a_dispatch_span_per_algorithm():
         dispatch = "protocol.election" if algorithm == "devine" else "baselines.embed"
         assert tracer.stats(algorithm, dispatch).durations, algorithm
         assert tracer.stats(algorithm, "embedding.verify").calls, algorithm
+        assert tracer.stats(algorithm, "local_embed.map_link").calls, algorithm
+    # the substrate rank, once per arrival, still goes through the module global
+    assert tracer.stats("grc", "baselines.power_rank").calls

@@ -1,20 +1,22 @@
 """Property tests: the fast paths against their slow references.
 
-`map_link` first walks the capacity-blind next-hop table; when that walk
-hits a link that cannot carry the demand it gives up if either endpoint has
-no link that can, and only then runs a breadth-first search that fills
-levels from both ends until they meet.  `embed` reads a breadth-first walk
+`map_link` first walks the capacity-blind next-hop table, grown from the
+destination only until it reaches the source; when that walk hits a link
+that cannot carry the demand it gives up if either endpoint has no link
+that can, and only then runs a breadth-first search that fills levels from
+both ends until they meet.  `embed` reads a breadth-first walk
 that the network caches per root across calls, skips servers below the
 least remaining demand, and skips virtual nodes whose demand exceeds what
 is free on the inspected node before calling `try_place`.  GRC builds its
-transition matrix from edge arrays and orders nodes by a stable argsort.
+transition matrices from edge arrays, ranks a run's requests in one
+stacked iteration per request size, and orders nodes by a stable argsort.
 bestfit picks from one fit mask over an array of what is free.  Each must
-give exactly what the exhaustive path oracle, the one-sided search, the
-plain greedy loop, the loop-built rank, the sorted-key order and the
-scanning chooser give.  The generator draws each request's and each
-substrate's normals in one call and picks G(n, p) pairs from flat indices;
-both must consume the same stream and build the same objects as the
-per-value generators.
+give exactly what the whole next-hop table, the exhaustive path oracle,
+the one-sided search, the plain greedy loop, the loop-built rank, the
+sorted-key order and the scanning chooser give.  The generator draws each
+request's and each substrate's normals in one call and picks G(n, p) pairs
+from flat indices; both must consume the same stream and build the same
+objects as the per-value generators.
 """
 
 from __future__ import annotations
@@ -22,15 +24,18 @@ from __future__ import annotations
 import math
 import random
 from collections import Counter, deque
+from dataclasses import replace
 from itertools import combinations
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from devine import (
     AllocationLedger,
+    ConvergenceError,
     GenerationError,
     GeneratorConfig,
     GrcParams,
@@ -59,7 +64,7 @@ from devine import (
     stream,
 )
 from devine import generator
-from devine.baselines import _vnr_rank
+from devine.baselines import _stacked_rank, vnr_orders
 from devine.local_embed import LocalEmbedOutcome, _finish, _Scratch
 import oracles
 from oracles import best_path, power_rank
@@ -108,7 +113,7 @@ def requests(draw, max_nodes=4, request_id=0, amount=amounts):
 
 def _blind_path(net, src, dst):
     """The capacity-blind shortest path the next-hop walk takes, or None."""
-    hops = net.next_hops(dst)
+    hops = net.next_hops(dst, src)
     path = [src]
     while path[-1] != dst and hops[path[-1]] >= 0:
         path.append(hops[path[-1]])
@@ -252,15 +257,30 @@ def test_two_sided_search_matches_the_one_sided_reference():
     assert counts["no path"] >= share, counts
 
 
-@settings(max_examples=200, deadline=None)
-@given(net=networks())
-def test_next_hop_walk_is_the_capacity_blind_best_path(net):
-    for dst in range(net.num_nodes):
-        table = net.next_hops(dst)
-        assert table[dst] == dst
+def test_next_hop_walk_is_the_capacity_blind_best_path():
+    counts = Counter()
+
+    @settings(max_examples=200, deadline=None)
+    @given(net=networks(), data=st.data())
+    def check(net, data):
+        for dst in range(net.num_nodes):
+            whole = oracles.next_hop_table(net, dst)
+            # sources in a drawn order, so a table is asked to grow from any level
+            for src in data.draw(st.permutations(range(net.num_nodes))):
+                table = net.next_hops(dst, src)
+                assert table[dst] == dst and table[src] == whole[src]
+                assert all(got == want for got, want in zip(table, whole) if got >= 0)
+                counts["partial"] += table != whole
+                assert _blind_path(net, src, dst) == best_path(net, src, dst, 0)
+            # grown to every source, a table is the whole one
+            assert net.next_hops(dst, dst) == whole
+        copy = oracles.copy_network(net)  # its own tables, grown alike
         for src in range(net.num_nodes):
-            assert _blind_path(net, src, dst) == best_path(net, src, dst, 0)
-    assert oracles.copy_network(net).next_hops(0) == net.next_hops(0)
+            copy.next_hops(0, src)
+        assert copy.next_hops(0, 0) == net.next_hops(0, 0)
+
+    check()
+    assert counts["partial"], counts  # some walks stopped short of a whole table
 
 
 def plain_greedy_embed(root, net, vnr, params):
@@ -435,7 +455,7 @@ def test_grc_orders_match_the_sorted_key_orders_under_exact_ties():
     )
     for net in (_ring(8, 50.0, 40.0), loaded):
         net_rank = grc_rank(net)
-        vnr_rank = _vnr_rank(vnr, GrcParams())
+        vnr_rank = request_ranks([vnr], GrcParams())[1][0]
         assert len(set(net_rank.tolist())) < net.num_nodes  # ties to break
         assert len(set(vnr_rank.tolist())) == 1
         with mock.patch.object(
@@ -448,6 +468,7 @@ def test_grc_orders_match_the_sorted_key_orders_under_exact_ties():
         virt_order = greedy.call_args.args[4]
         assert phys_order == sorted(range(net.num_nodes), key=lambda p: (-net_rank[p], p))
         assert virt_order == sorted(range(vnr.num_nodes), key=lambda v: (-vnr_rank[v], v))
+        assert virt_order == request_ranks([vnr], GrcParams())[0][0]
         assert all(type(pid) is int for pid in phys_order + virt_order)
 
 
@@ -473,6 +494,30 @@ def rank_networks(draw, max_nodes=8):
     return _grc_net(cpus, links)
 
 
+def as_request(net, request_id=0):
+    """A rank network read as a request: cpu demands and bandwidth demands."""
+    return Vnr(
+        request_id,
+        [VirtualNode(n.id, n.capacity) for n in net.nodes],
+        [VirtualLink(l.u, l.v, from_milli(free)) for l, free in zip(net.links, net.bw_free)],
+    )
+
+
+def request_ranks(vnrs, params):
+    """`vnr_orders`, its rank row per request id, and the size of each stack it ranked."""
+    rows, sizes = {}, []
+
+    def recording(stack, n, params):
+        ranks = _stacked_rank(stack, n, params)
+        rows.update(zip((vnr.request_id for vnr in stack), ranks))
+        sizes.append(len(stack))
+        return ranks
+
+    with mock.patch.object(baselines, "_stacked_rank", recording):
+        orders = vnr_orders(vnrs, params)
+    return orders, rows, sizes
+
+
 @settings(max_examples=400, deadline=None)
 @given(net=rank_networks(), damping=st.sampled_from((0.0, 0.5, 0.85)))
 @example(net=_grc_net([30], []), damping=0.85)  # a single node
@@ -486,17 +531,94 @@ def test_power_rank_matches_the_loop_built_reference(net, damping):
     edges = [(l.u, l.v, free) for l, free in zip(net.links, net.bw_free)]
     assert grc_rank(net, params).tobytes() == power_rank(weights, edges, params).tobytes()
 
-    # the same graph read as a request: cpu demands and bandwidth demands
-    vnr = Vnr(
-        0,
-        [VirtualNode(n.id, n.capacity) for n in net.nodes],
-        [VirtualLink(l.u, l.v, from_milli(free)) for l, free in zip(net.links, net.bw_free)],
-    )
-    assert _vnr_rank(vnr, params).tobytes() == power_rank(weights, edges, params).tobytes()
+    # the same graph read as a request
+    _, ranks, _ = request_ranks([as_request(net)], params)
+    assert ranks[0].tobytes() == power_rank(weights, edges, params).tobytes()
 
     u, v = oracles.copy_network(net).link_endpoints()
     assert u.tolist() == [l.u for l in net.links]
     assert v.tolist() == [l.v for l in net.links]
+
+
+def _reference(vnr):
+    """The oracle's inputs for a request: cpu weights and (u, v, bandwidth) edges."""
+    weights = np.array([node.demand.cpu_m for node in vnr.nodes], dtype=float)
+    return weights, [(l.u, l.v, l.bw_demand_m) for l in vnr.links]
+
+
+def _settle_step(vnr, params):
+    """The fewest iterations the reference needs, by bisection on the cap."""
+    weights, edges = _reference(vnr)
+    lo, hi = 0, params.max_iterations  # the reference raises at lo and settles at hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        try:
+            power_rank(weights, edges, replace(params, max_iterations=mid))
+            hi = mid
+        except ConvergenceError:
+            lo = mid
+    return hi
+
+
+@st.composite
+def rank_requests(draw):
+    """Stacks of requests of mixed sizes, several of a size."""
+    nets = draw(st.lists(rank_networks(max_nodes=5), min_size=1, max_size=12))
+    return [as_request(net, k) for k, net in enumerate(nets)]
+
+
+_MIXED = [  # a single node, edgeless, zero cpu weights, a drained column, twice each size
+    as_request(_grc_net(cpus, links), k)
+    for k, (cpus, links) in enumerate(2 * [
+        ([30], []),
+        ([1, 3, 30], []),
+        ([0, 0, 0], [(0, 1, 5), (1, 2, 1)]),
+        ([1, 3, 30, 1], [(0, 1, 0), (0, 2, 0), (2, 3, 5)]),
+    ])
+]
+
+
+def test_stacked_ranks_match_the_loop_built_reference():
+    counts = Counter()
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        vnrs=rank_requests(),
+        damping=st.sampled_from((0.0, 0.5, 0.85)),
+        chunk=st.integers(1, 3),
+    )
+    @example(vnrs=_MIXED, damping=0.85, chunk=1)
+    def check(vnrs, damping, chunk):
+        params = GrcParams(damping=damping)
+        orders, ranks, sizes = request_ranks(vnrs, params)
+        # one stack per request size
+        assert sorted(sizes) == sorted(Counter(vnr.num_nodes for vnr in vnrs).values())
+        for vnr in vnrs:
+            rank = ranks[vnr.request_id]
+            assert rank.tobytes() == power_rank(*_reference(vnr), params).tobytes()
+            want = sorted(range(vnr.num_nodes), key=lambda j: (-rank[j], j))
+            assert orders[vnr.request_id] == want
+        for n in {vnr.num_nodes for vnr in vnrs}:
+            group = [vnr for vnr in vnrs if vnr.num_nodes == n]
+            # chunks of `chunk` requests: the same bytes as one stack
+            with mock.patch.object(baselines, "_STACK_ENTRIES", chunk * n * n):
+                chunked_orders, chunked, sizes = request_ranks(group, params)
+            assert sizes == [min(chunk, len(group) - i) for i in range(0, len(group), chunk)]
+            for vnr in group:
+                assert chunked[vnr.request_id].tobytes() == ranks[vnr.request_id].tobytes()
+                assert chunked_orders[vnr.request_id] == orders[vnr.request_id]
+            if not counts["settled apart"] and len(group) > 1:
+                counts["settled apart"] += len({_settle_step(vnr, params) for vnr in group}) > 1
+
+    check()
+    # some stack had requests leave it at different steps
+    assert counts["settled apart"], counts
+
+
+def test_stacked_rank_iteration_cap_raises():
+    vnrs = [as_request(_grc_net([1, 3, 30], [(0, 1, 5), (1, 2, 1)]), k) for k in range(3)]
+    with pytest.raises(ConvergenceError):
+        vnr_orders(vnrs, GrcParams(tolerance=1e-15, max_iterations=1))
 
 
 def _facts(build, facts):
