@@ -11,7 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .local_embed import LocalEmbedOutcome, LocalEmbedParams, _finish, _Scratch, demand_order
+from .local_embed import LocalEmbedOutcome, LocalEmbedParams, _finish, _least_demand, _Scratch
+from .local_embed import demand_order
 from .model import PhysicalNetwork, Vnr, require_finite
 
 
@@ -62,11 +63,22 @@ def _greedy_by_choice(
     return _finish(scratch, params, inspected, 0)
 
 
-def _first_fitting(candidates):
-    """choose() that picks the first candidate node the virtual node fits on."""
+def _first_fitting(net: PhysicalNetwork, vnr: Vnr, candidates):
+    """choose() that picks the first candidate node the virtual node fits on.
+
+    Like `embed`, it probes only servers that clear the request's least demand
+    (node_fits needs free - used >= demand >= least); scanned counts every candidate.
+    """
+    demands = [(n.demand.cpu_m, n.demand.memory_m, n.demand.gpu_m) for n in vnr.nodes]
+    cpu, memory, gpu = _least_demand(demands, range(vnr.num_nodes))
+    cpu_free, memory_free, gpu_free = net.cpu_free, net.memory_free, net.gpu_free
+    kept = [
+        (scanned, pid) for scanned, pid in enumerate(candidates, 1)
+        if cpu_free[pid] >= cpu and memory_free[pid] >= memory and gpu_free[pid] >= gpu
+    ]
 
     def choose(scratch, vid):
-        for scanned, pid in enumerate(candidates, 1):
+        for scanned, pid in kept:
             if scratch.node_fits(vid, pid):
                 return pid, scanned
         return None, len(candidates)
@@ -79,7 +91,7 @@ def first_fit(
 ) -> LocalEmbedOutcome:
     """Lowest-id substrate node whose residual fits, links routed as placed."""
     params = params or LocalEmbedParams()
-    return _greedy_by_choice(net, vnr, params, _first_fitting(range(net.num_nodes)))
+    return _greedy_by_choice(net, vnr, params, _first_fitting(net, vnr, range(net.num_nodes)))
 
 
 def best_fit(
@@ -151,13 +163,20 @@ def _power_rank(
 
 
 def grc_rank(net: PhysicalNetwork, params: GrcParams | None = None) -> np.ndarray:
-    """Global resource-capacity rank of substrate nodes (sums to 1)."""
+    """Global resource-capacity rank of substrate nodes (sums to 1), read-only."""
     params = params or GrcParams()
     params.validate()
-    weights = np.array(net.cpu_free, dtype=float)
+    # the last rank while its inputs compare equal, by content: anything may write the lists
+    memo = net.grc_rank_memo
+    if memo is not None and memo[:3] == (params, net.cpu_free, net.bw_free):
+        return memo[3]
+    weights = np.fromiter(net.cpu_free, np.int64, net.num_nodes).astype(float)
     u, v = net.link_endpoints()
-    w = np.array(net.bw_free, dtype=float)
-    return _power_rank(weights, u, v, w, params)
+    w = np.fromiter(net.bw_free, np.int64, net.num_links).astype(float)
+    rank = _power_rank(weights, u, v, w, params)
+    rank.flags.writeable = False
+    net.grc_rank_memo = (params, list(net.cpu_free), list(net.bw_free), rank)
+    return rank
 
 
 _STACK_ENTRIES = 1 << 20  # the most transition-matrix entries one stack of requests holds
@@ -224,4 +243,4 @@ def grc_embed(
         virt_order = vnr_orders([vnr], grc_params)[vnr.request_id]
     # a stable sort of the negated ranks orders by rank, ties by id
     phys_order = np.argsort(-net_rank, kind="stable").tolist()
-    return _greedy_by_choice(net, vnr, params, _first_fitting(phys_order), virt_order)
+    return _greedy_by_choice(net, vnr, params, _first_fitting(net, vnr, phys_order), virt_order)

@@ -175,6 +175,7 @@ class PhysicalNetwork:
         self._hop_frontiers: list[list[int] | None] = [None] * len(nodes)
         self._walks: list[Walk | None] = [None] * len(nodes)
         self._endpoints: tuple[np.ndarray, np.ndarray] | None = None
+        self.grc_rank_memo: tuple | None = None  # baselines.grc_rank's (params, cpu, bw, rank)
 
     @property
     def num_nodes(self) -> int:

@@ -5,8 +5,10 @@ exhaustive DFS over simple paths, feasibility is exhaustive enumeration
 over all node mappings and all per-link path assignments, and the GRC
 transition matrix is built entry by entry from an edge list.  Two keep
 what a fast path replaced: `best_fit` keeps the package's greedy core and
-swaps only its node choice for the scan over `node_fits`, and `search` is
-the one-sided level fill and descent that the two-sided fill replaced.
+swaps only its node choice for the scan over `node_fits`, `first_fitting` is
+the first-fit chooser that probed every candidate before the least-demand
+filter, and `search` is the one-sided level fill and descent that the
+two-sided fill replaced.
 `next_hop_table` is the whole-substrate breadth-first table that the
 per-destination tables grown on demand replaced.
 `generate_physical_network` and `generate_vnr` are the per-value
@@ -311,6 +313,18 @@ def power_rank(weights, edges, params):
     raise ConvergenceError(
         f"rank iteration did not reach {params.tolerance} within {params.max_iterations} steps"
     )
+
+
+def first_fitting(candidates):
+    """choose() that probes every candidate in order: the first one the virtual node fits on."""
+
+    def choose(scratch, vid):
+        for scanned, pid in enumerate(candidates, 1):
+            if scratch.node_fits(vid, pid):
+                return pid, scanned
+        return None, len(candidates)
+
+    return choose
 
 
 def best_fit(net, vnr, params=None):

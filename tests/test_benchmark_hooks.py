@@ -53,3 +53,9 @@ def test_traced_run_records_a_dispatch_span_per_algorithm():
         assert tracer.stats(algorithm, "local_embed.map_link").calls, algorithm
     # the substrate rank, once per arrival, still goes through the module global
     assert tracer.stats("grc", "baselines.power_rank").calls
+    # firstfit's and grc's choosers probe through node_fits: each pick is
+    # probed once there and once more by try_place, so a chooser with a fit
+    # test of its own would leave node_fits at the try_place count
+    for algorithm in ("firstfit", "grc"):
+        placed = tracer.stats(algorithm, "local_embed.try_place").calls
+        assert tracer.stats(algorithm, "local_embed.node_fits").calls >= 2 * placed > 0, algorithm

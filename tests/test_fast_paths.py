@@ -9,11 +9,13 @@ that the network caches per root across calls, skips servers below the
 least remaining demand, and skips virtual nodes whose demand exceeds what
 is free on the inspected node before calling `try_place`.  GRC builds its
 transition matrices from edge arrays, ranks a run's requests in one
-stacked iteration per request size, and orders nodes by a stable argsort.
-bestfit picks from one fit mask over an array of what is free.  Each must
+stacked iteration per request size, orders nodes by a stable argsort, and
+reuses a substrate rank while the residuals it ranked are unchanged.
+bestfit picks from one fit mask over an array of what is free; firstfit and
+GRC probe only the servers that clear a request's least demand.  Each must
 give exactly what the whole next-hop table, the exhaustive path oracle,
 the one-sided search, the plain greedy loop, the loop-built rank, the
-sorted-key order and the scanning chooser give.  The generator draws each
+sorted-key order and the scanning choosers give.  The generator draws each
 request's and each substrate's normals in one call and picks G(n, p) pairs
 from flat indices; both must consume the same stream and build the same
 objects as the per-value generators.
@@ -52,6 +54,7 @@ from devine import (
     best_fit,
     demand_order,
     embed,
+    first_fit,
     from_milli,
     grc_embed,
     grc_rank,
@@ -437,6 +440,101 @@ def test_best_fit_matches_the_scanning_chooser(data):
         _keep(net, ledger, live, vnr, outcome, params)
 
 
+@st.composite
+def drained_networks(draw, max_nodes=7):
+    """Random graphs, the empty one included, whose servers often have one resource drained."""
+    n = draw(st.integers(min_value=0, max_value=max_nodes))
+    free = [[20_000] * n for _ in range(3)]
+    for pid in range(n):
+        drained = draw(st.sampled_from((None, 0, 1, 2)))
+        if drained is not None:  # below, at, between or above a demand of 5 or 10
+            free[drained][pid] = 1000 * draw(st.sampled_from((0, 4, 5, 9)))
+    nodes = [PhysicalNode(i, ResourceVector(20, 20, 20)) for i in range(n)]
+    links = [
+        PhysicalLink(u, v, 30.0) for u, v in combinations(range(n), 2) if draw(st.booleans())
+    ]
+    bw_free = [1000 * draw(st.sampled_from((0, 5, 30))) for _ in links]
+    cpu_free, memory_free, gpu_free = free
+    return PhysicalNetwork(
+        nodes, links, cpu_free=cpu_free, memory_free=memory_free, gpu_free=gpu_free, bw_free=bw_free
+    )
+
+
+def _grc(net, vnr, params):
+    return grc_embed(net, vnr, None, params)
+
+
+def _same_first_fits(net, vnr, params) -> bool:
+    """Check first_fit and grc_embed against themselves on the unfiltered chooser.
+
+    True when the filter dropped a server that the chooser probed before a pick.
+    """
+    probed: list[int] = []
+
+    def unfiltered(net, vnr, candidates):
+        choose = oracles.first_fitting(candidates)
+
+        def recording(scratch, vid):
+            pid, scanned = choose(scratch, vid)
+            if pid is not None:
+                probed.extend(list(candidates)[: scanned - 1])
+            return pid, scanned
+
+        return recording
+
+    for embedder in (first_fit, _grc):
+        with mock.patch.object(baselines, "_first_fitting", unfiltered):
+            want = embedder(net, vnr, params)
+        got = embedder(net, vnr, params)
+        assert got == want  # mapping, paths, metric and inspected count
+    demands = [node.demand for node in vnr.nodes]
+    least = [min(column) for column in zip(*((d.cpu_m, d.memory_m, d.gpu_m) for d in demands))]
+    frees = (net.cpu_free, net.memory_free, net.gpu_free)
+    return any(free[pid] < floor for pid in probed for free, floor in zip(frees, least))
+
+
+def test_first_fitting_matches_the_unfiltered_chooser():
+    counts = Counter()
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def check(data):
+        # several requests on one network, allocating and releasing between
+        # them, so later requests read residuals that earlier ones moved
+        net = data.draw(drained_networks())
+        ledger = AllocationLedger()
+        live: list[int] = []
+        for rid in range(data.draw(st.integers(1, 6))):
+            vnr = data.draw(requests(request_id=rid, amount=st.sampled_from((0, 5, 10))))
+            params = LocalEmbedParams(
+                path_hop_limit=data.draw(st.none() | st.integers(0, 3)),
+                injective=data.draw(st.booleans()),
+            )
+            counts["dropped before a pick"] += _same_first_fits(net, vnr, params)
+            _keep(net, ledger, live, vnr, first_fit(net, vnr, params), params)
+
+    check()
+    # the filter had work to do: some pick came after a server it dropped
+    assert counts["dropped before a pick"], counts
+    # whatever the draws: the empty substrate, and one-node and two-node
+    # requests whose picks follow a server below their least cpu demand
+    one_node = Vnr(0, [VirtualNode(0, ResourceVector(5, 5, 5))], [], 0.0, 1.0)
+    pair = Vnr(
+        1,
+        [VirtualNode(i, ResourceVector(5, 5, 5)) for i in range(2)],
+        [VirtualLink(0, 1, 1.0)],
+        0.0,
+        1.0,
+    )
+    loaded = _ring(4, 20.0, 10.0)
+    loaded.cpu_free[0] = 4000
+    for injective in (False, True):
+        params = LocalEmbedParams(injective=injective)
+        assert not _same_first_fits(PhysicalNetwork([], []), one_node, params)
+        assert _same_first_fits(loaded, one_node, params)
+        assert _same_first_fits(loaded, pair, params)
+
+
 def _ring(n, cpu, bw):
     nodes = [PhysicalNode(i, ResourceVector(cpu, 50, 50)) for i in range(n)]
     return PhysicalNetwork(nodes, [PhysicalLink(i, (i + 1) % n, bw) for i in range(n)])
@@ -464,7 +562,8 @@ def test_grc_orders_match_the_sorted_key_orders_under_exact_ties():
             baselines, "_first_fitting", wraps=baselines._first_fitting
         ) as first_fitting:
             grc_embed(net, vnr)
-        phys_order = first_fitting.call_args.args[0]
+        assert first_fitting.call_args.args[:2] == (net, vnr)
+        phys_order = first_fitting.call_args.args[2]
         virt_order = greedy.call_args.args[4]
         assert phys_order == sorted(range(net.num_nodes), key=lambda p: (-net_rank[p], p))
         assert virt_order == sorted(range(vnr.num_nodes), key=lambda v: (-vnr_rank[v], v))
@@ -538,6 +637,49 @@ def test_power_rank_matches_the_loop_built_reference(net, damping):
     u, v = oracles.copy_network(net).link_endpoints()
     assert u.tolist() == [l.u for l in net.links]
     assert v.tolist() == [l.v for l in net.links]
+
+
+def test_grc_rank_is_reused_only_while_its_inputs_are_unchanged():
+    net = _grc_net([1, 3, 30, 1], [(0, 1, 5), (1, 2, 1), (2, 3, 5)])
+
+    def reference(params=GrcParams()):
+        weights = np.array(net.cpu_free, dtype=float)
+        edges = [(l.u, l.v, free) for l, free in zip(net.links, net.bw_free)]
+        return power_rank(weights, edges, params).tobytes()
+
+    failing = GrcParams(tolerance=1e-15, max_iterations=1)
+    with mock.patch.object(baselines, "_power_rank", wraps=baselines._power_rank) as ranked:
+        first = grc_rank(net)
+        assert grc_rank(net) is first and ranked.call_count == 1  # unchanged: not ranked again
+        assert not first.flags.writeable
+        with pytest.raises(ValueError):
+            first[0] = 0.0
+        # written in place, not through allocate
+        net.cpu_free[2] -= 29_000
+        assert grc_rank(net).tobytes() == reference() and ranked.call_count == 2
+        net.bw_free[1] = 0
+        assert grc_rank(net).tobytes() == reference() and ranked.call_count == 3
+        other = GrcParams(damping=0.5)
+        assert grc_rank(net, other).tobytes() == reference(other) and ranked.call_count == 4
+        assert grc_rank(net, other).tobytes() == reference(other) and ranked.call_count == 4
+        assert grc_rank(net).tobytes() == reference() and ranked.call_count == 5
+        # a rank that fails to settle is not kept: it fails again, and the
+        # last good rank still serves
+        for _ in range(2):
+            with pytest.raises(ConvergenceError):
+                grc_rank(net, failing)
+        assert ranked.call_count == 7
+        assert grc_rank(net).tobytes() == reference() and ranked.call_count == 7
+        net.cpu_free[2] += 29_000
+        net.bw_free[1] = 1000
+        assert grc_rank(net).tobytes() == first.tobytes() == reference()
+        assert ranked.call_count == 8
+    # a failure before any rank leaves nothing behind either
+    net = _grc_net([1, 3, 30], [(0, 1, 5), (1, 2, 1)])
+    with pytest.raises(ConvergenceError):
+        grc_rank(net, failing)
+    assert net.grc_rank_memo is None
+    assert grc_rank(net).tobytes() == reference()
 
 
 def _reference(vnr):
