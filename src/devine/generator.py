@@ -13,13 +13,14 @@ size; its node pairs' uniforms as above; one normal each for cpu, memory and
 gpu demand per node; one per link bandwidth; then one for its lifetime.
 Under poisson arrivals each request's gap is drawn from the request stream
 just before it.  A normal below its floor is redrawn at once, before the
-next value is drawn.
+next value is drawn.  Each normal is formed as mean + std * z from standard
+normals z taken in this order, which is numpy's scalar normal bit for bit;
+the per-value reference tests in tests/test_fast_paths.py pin that.
 """
 
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,7 +33,6 @@ from .model import (
     VirtualLink,
     VirtualNode,
     Vnr,
-    _connected,
     require_finite,
 )
 
@@ -42,6 +42,8 @@ MAX_NODES = 1000
 # Cap on every distribution's mean and spread: amounts become int64
 # milli-units, which overflow above about 9.2e15.
 MAX_AMOUNT = 1e12
+# Draws one value may take before generation fails.
+_MAX_REDRAWS = 1000
 
 _STREAM_IDS = {"topology": 0, "vnr": 1, "primaries": 2, "leaders": 3}
 _MASK64 = (1 << 64) - 1
@@ -139,7 +141,7 @@ def draw_positive(
     dist: tuple[float, float],
     cfg: GeneratorConfig,
     floor: float | None = None,
-    max_redraws: int = 1000,
+    max_redraws: int = _MAX_REDRAWS,
 ) -> float:
     """One normal draw, redrawn until it clears the floor."""
     low = cfg.resource_floor if floor is None else floor
@@ -153,30 +155,33 @@ def draw_positive(
 
 
 def _draw_positives(rng, cfg: GeneratorConfig, groups) -> list[float]:
-    """What `draw_positive` gives for every value of `groups`, in one numpy call.
+    """What `draw_positive` gives for every value of `groups`, from batches of standard normals.
 
     `groups` holds (dists, count, floor): `dists` repeated `count` times, each
-    value at least `floor`.  With array arguments numpy runs the scalar call's
-    routine once per value in stream order, so when every value clears its
-    floor they are the per-value draws.  A redraw shifts every later value, so
-    then the stream is rewound and drawn again one value at a time.
+    value at least `floor`.  A batch is never longer than the values left or
+    the current value's redraws left, so the stream stops where the
+    per-value draws would stop, on success and on failure alike.
     """
     means, stds, floors = [], [], []
     for dists, count, floor in groups:
         means += [dist[0] for dist in dists] * count
         stds += [cfg.std_of(dist) for dist in dists] * count
         floors += [floor] * (len(dists) * count)
-    state = rng.bit_generator.state
-    values = rng.normal(means, stds).tolist()
-    if all(map(operator.ge, values, floors)):
-        return values
-    rng.bit_generator.state = state
-    return [
-        draw_positive(rng, dist, cfg, floor)
-        for dists, count, floor in groups
-        for _ in range(count)
-        for dist in dists
-    ]
+    values: list[float] = []
+    k, redraws = 0, _MAX_REDRAWS  # the next value's index and the draws it may still take
+    while k < len(means):
+        for z in rng.standard_normal(min(len(means) - k, redraws)).tolist():
+            x = means[k] + stds[k] * z
+            if x >= floors[k]:
+                values.append(x)
+                k += 1
+                redraws = _MAX_REDRAWS
+            else:
+                redraws -= 1
+        if not redraws:
+            low, mean, std = floors[k], means[k], stds[k]
+            raise GenerationError(f"could not draw a value >= {low} from N({mean}, std={std})")
+    return values
 
 
 def _random_edges(rng, num_nodes: int, probability: float) -> list[tuple[int, int]]:
@@ -197,15 +202,28 @@ def _random_edges(rng, num_nodes: int, probability: float) -> list[tuple[int, in
     return edges
 
 
+def _spans(num_nodes: int, edges) -> bool:
+    """Whether edges connect all num_nodes nodes: a search over neighbor bitmasks."""
+    if num_nodes <= 1:
+        return True
+    masks = [0] * num_nodes
+    for u, v in edges:
+        masks[u] |= 1 << v
+        masks[v] |= 1 << u
+    seen = todo = 1  # node 0; todo holds the reached nodes not yet expanded
+    while todo:
+        low = todo & -todo
+        fresh = masks[low.bit_length() - 1] & ~seen
+        seen |= fresh
+        todo = (todo ^ low) | fresh
+    return seen == (1 << num_nodes) - 1
+
+
 def _connected_edges(rng, num_nodes, probability, max_attempts) -> list[tuple[int, int]]:
     """Sample G(n, p) edge sets until one is connected."""
     for _ in range(max_attempts):
         edges = _random_edges(rng, num_nodes, probability)
-        adjacency: list[set[int]] = [set() for _ in range(num_nodes)]
-        for u, v in edges:
-            adjacency[u].add(v)
-            adjacency[v].add(u)
-        if _connected(num_nodes, adjacency):
+        if _spans(num_nodes, edges):
             return edges
     raise GenerationError(
         f"no connected graph with n={num_nodes}, p={probability} "

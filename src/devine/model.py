@@ -38,9 +38,10 @@ class ResourceVector:
     __slots__ = ("cpu_m", "memory_m", "gpu_m")
 
     def __init__(self, cpu: float = 0.0, memory: float = 0.0, gpu: float = 0.0):
-        self.cpu_m = to_milli(cpu)
-        self.memory_m = to_milli(memory)
-        self.gpu_m = to_milli(gpu)
+        # to_milli inlined: requests build three per virtual node
+        self.cpu_m = round(cpu * SCALE)
+        self.memory_m = round(memory * SCALE)
+        self.gpu_m = round(gpu * SCALE)
         if min(self.cpu_m, self.memory_m, self.gpu_m) < 0:
             raise ValueError(f"resource amounts must be non-negative, got {self!r}")
 
@@ -129,15 +130,6 @@ def _free_list(given: list[int] | None, capacity: list[int], what: str) -> list[
     if len(given) != len(capacity) or not all(0 <= f <= c for f, c in zip(given, capacity)):
         raise ValueError(f"{what} residuals must lie between 0 and capacity, one per entry")
     return list(given)
-
-
-def _connected(num_nodes: int, adjacency) -> bool:
-    if num_nodes <= 1:
-        return True
-    walk = Walk(0, adjacency)
-    while walk.grow():
-        pass
-    return len(walk.order) == num_nodes
 
 
 class PhysicalNetwork:
@@ -236,7 +228,7 @@ class PhysicalNetwork:
         return self._endpoints
 
 
-@dataclass
+@dataclass(slots=True)
 class VirtualNode:
     """Requested node with a resource demand vector."""
 
@@ -253,7 +245,7 @@ class VirtualLink:
         if u == v:
             raise ValueError("self-loops are not allowed")
         self.u, self.v = (u, v) if u < v else (v, u)
-        self.bw_demand_m = to_milli(bandwidth)
+        self.bw_demand_m = round(bandwidth * SCALE)  # to_milli, inlined
         if self.bw_demand_m < 0:
             raise ValueError("bandwidth demand must be non-negative")
 

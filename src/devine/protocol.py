@@ -160,9 +160,9 @@ def select_leaders(
         raise ValueError(f"unknown primary node {primary}")
     if not 1 <= leaders <= net.num_nodes:
         raise ValueError(f"leaders must lie in [1, {net.num_nodes}], got {leaders}")
-    others = [nid for nid in range(net.num_nodes) if nid != primary]
-    picked = rng.choice(len(others), size=leaders - 1, replace=False)
-    return LeaderRing((primary, *(others[int(i)] for i in picked)))
+    # index i of the n-1 nodes other than the primary is node i + (i >= primary)
+    picked = rng.choice(net.num_nodes - 1, size=leaders - 1, replace=False).tolist()
+    return LeaderRing((primary, *(i + (i >= primary) for i in picked)))
 
 
 @dataclass

@@ -167,24 +167,21 @@ def build_workload(
     """Arrival times, requests, and primary nodes for one run.
 
     Drawn exclusively from the vnr and primaries streams, so every
-    algorithm sees the same workload under the same master seed.
+    algorithm sees the same workload under the same master seed.  The
+    primaries stream holds one integer per request, drawn in one call.
     """
     vnr_rng = stream(seed, "vnr")
-    primary_rng = stream(seed, "primaries")
     mean_gap = 1.0 / cfg.arrival_rate
-    workload = []
+    vnrs = []
     now = 0.0
-    request_id = 0
     while True:
         gap = float(vnr_rng.exponential(mean_gap)) if cfg.arrival_process == "poisson" else mean_gap
         now += gap
         if now > duration:
             break
-        vnr = generate_vnr(cfg, request_id, now, vnr_rng)
-        primary = int(primary_rng.integers(cfg.server_count))
-        workload.append((now, vnr, primary))
-        request_id += 1
-    return workload
+        vnrs.append(generate_vnr(cfg, len(vnrs), now, vnr_rng))
+    primaries = stream(seed, "primaries").integers(cfg.server_count, size=len(vnrs)).tolist()
+    return [(vnr.arrival_time, vnr, primary) for vnr, primary in zip(vnrs, primaries)]
 
 
 def _utilization(net) -> tuple[float, float]:

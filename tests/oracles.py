@@ -12,12 +12,16 @@ two-sided fill replaced.
 `next_hop_table` is the whole-substrate breadth-first table that the
 per-destination tables grown on demand replaced.
 `generate_physical_network` and `generate_vnr` are the per-value
-generators that the one-call draws replaced: one scalar `draw_positive` per
-value and node pairs built as tuples by `itertools.combinations`.
+generators that the batched draws replaced: one scalar `draw_positive` per
+value, node pairs built as tuples by `itertools.combinations`, and
+connectivity tested by `connected`, a breadth-first search over neighbor
+sets in place of the bitmask search.  `build_workload` draws each primary
+with its own scalar call, where the package draws them all in one.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from itertools import combinations, product
 
 import numpy as np
@@ -34,9 +38,9 @@ from devine import (
     VirtualNode,
     Vnr,
     draw_positive,
+    stream,
 )
 from devine.baselines import _greedy_by_choice
-from devine.model import _connected
 
 
 def simple_paths(net, src, dst, bw_demand_m, reserved=None, max_hops=None):
@@ -212,6 +216,20 @@ def copy_network(net):
     )
 
 
+def connected(num_nodes, adjacency):
+    """Whether every node is reachable from node 0; adjacency[v] iterates v's neighbors."""
+    if num_nodes <= 1:
+        return True
+    seen = {0}
+    queue = deque([0])
+    while queue:
+        for nb in adjacency[queue.popleft()]:
+            if nb not in seen:
+                seen.add(nb)
+                queue.append(nb)
+    return len(seen) == num_nodes
+
+
 def connected_edges(rng, num_nodes, probability, max_attempts):
     """G(n, p) edge sets, one uniform per combinations() pair, until one is connected."""
     for _ in range(max_attempts):
@@ -224,7 +242,7 @@ def connected_edges(rng, num_nodes, probability, max_attempts):
         for u, v in edges:
             adjacency[u].add(v)
             adjacency[v].add(u)
-        if _connected(num_nodes, adjacency):
+        if connected(num_nodes, adjacency):
             return edges
     raise GenerationError(
         f"no connected graph with n={num_nodes}, p={probability} "
@@ -264,6 +282,21 @@ def generate_vnr(cfg, request_id, arrival_time, rng):
     links = [VirtualLink(u, v, draw_positive(rng, cfg.bandwidth_demand, cfg)) for u, v in edges]
     lifetime = draw_positive(rng, cfg.lifetime, cfg, floor=cfg.lifetime_floor)
     return Vnr(request_id, nodes, links, arrival_time, lifetime)
+
+
+def build_workload(cfg, duration, seed):
+    """Arrival times, per-value requests and primaries, one scalar primary draw per request."""
+    vnr_rng = stream(seed, "vnr")
+    primary_rng = stream(seed, "primaries")
+    mean_gap = 1.0 / cfg.arrival_rate
+    workload = []
+    now = 0.0
+    while True:
+        now += float(vnr_rng.exponential(mean_gap)) if cfg.arrival_process == "poisson" else mean_gap
+        if now > duration:
+            return workload
+        vnr = generate_vnr(cfg, len(workload), now, vnr_rng)
+        workload.append((now, vnr, int(primary_rng.integers(cfg.server_count))))
 
 
 def residual_snapshot(net):

@@ -793,6 +793,7 @@ def generator_configs(draw):
         lifetime=draw(st.sampled_from(((100.0, 900.0), (1.0, 100.0)))),
         second_parameter=draw(st.sampled_from(("variance", "std"))),
         arrival_rate=draw(st.sampled_from((0.5, 2.0))),
+        arrival_process=draw(st.sampled_from(("poisson", "uniform"))),
         max_attempts=20,
     )
 
@@ -822,9 +823,12 @@ def test_generator_matches_the_per_value_reference(cfg, seed):
 def test_a_hopeless_floor_fails_alike_on_both_generators():
     substrate_cfg = GeneratorConfig(server_count=4, cpu_capacity=(0.0, 0.0))
     request_cfg = GeneratorConfig(lifetime=(0.0, 1e-12))
+    # fails on the first link, after all 3 x size node values cleared their floor
+    link_cfg = GeneratorConfig(bandwidth_demand=(0.0, 1e-12))
     cases = (
         ("topology", lambda gen, rng: gen.generate_physical_network(substrate_cfg, rng)),
         ("vnr", lambda gen, rng: gen.generate_vnr(request_cfg, 0, 0.0, rng)),
+        ("vnr", lambda gen, rng: gen.generate_vnr(link_cfg, 0, 0.0, rng)),
     )
     for name, generate in cases:
         outcomes = []
@@ -834,3 +838,76 @@ def test_a_hopeless_floor_fails_alike_on_both_generators():
             outcomes.append((message, rng.bit_generator.state))
         assert outcomes[0][0].startswith("GenerationError: could not draw a value >=")
         assert outcomes[0] == outcomes[1]
+
+    # about 90% of cpu draws miss the floor, so each request takes several batches
+    missing_cfg = GeneratorConfig(cpu_demand=(-1.18, 1.0))
+    fast_rng, slow_rng = stream(7, "vnr"), stream(7, "vnr")
+    for request_id in range(20):
+        fast = _facts(lambda: generate_vnr(missing_cfg, request_id, 0.0, fast_rng), Vnr.fingerprint)
+        slow = _facts(lambda: oracles.generate_vnr(missing_cfg, request_id, 0.0, slow_rng), Vnr.fingerprint)
+        assert fast == slow
+        assert fast_rng.bit_generator.state == slow_rng.bit_generator.state
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    dists=st.lists(st.tuples(st.floats(-5.0, 50.0), st.floats(0.0, 25.0)), min_size=1, max_size=3),
+    count=st.integers(0, 30),
+    floor=st.sampled_from((0.1, 5.0)),
+    seed=st.integers(0, 2**32),
+)
+@example(dists=[(1.0, 0.0)], count=3, floor=5.0, seed=0)  # hopeless at once
+@example(dists=[(10.0, 4.0), (0.0, 0.0)], count=2, floor=0.1, seed=0)  # hopeless on the 2nd value
+def test_batched_normals_are_the_per_value_draws_bit_for_bit(dists, count, floor, seed):
+    # mean + std * z in Python must equal numpy's scalar normal in every bit
+    cfg = GeneratorConfig()
+    fast_rng, slow_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    fast = _facts(lambda: generator._draw_positives(fast_rng, cfg, [(dists, count, floor)]), list)
+    slow = _facts(
+        lambda: [generator.draw_positive(slow_rng, d, cfg, floor) for _ in range(count) for d in dists],
+        list,
+    )
+    assert fast == slow
+    assert fast_rng.bit_generator.state == slow_rng.bit_generator.state
+
+
+@settings(max_examples=60, deadline=None)
+@given(cfg=generator_configs(), seed=st.integers(0, 2**32))
+@example(cfg=GeneratorConfig(server_count=1), seed=3)
+@example(cfg=GeneratorConfig(server_count=1, arrival_process="uniform"), seed=3)
+def test_workload_draws_the_scalar_primaries(cfg, seed):
+    fast = _facts(lambda: simulation.build_workload(cfg, 15.0, seed), _workload_facts)
+    slow = _facts(lambda: oracles.build_workload(cfg, 15.0, seed), _workload_facts)
+    assert fast == slow
+
+
+@st.composite
+def edge_lists(draw):
+    """(n, edges) on up to 80 nodes: a random spanning tree, some of its edges
+    cut, extra random edges, and some nodes stripped of every edge."""
+    n = draw(st.integers(0, 80))
+    if n < 2:
+        return n, []
+    node = st.integers(0, n - 1)
+    edges = [(draw(st.integers(0, v - 1)), v) for v in range(1, n)]
+    for k in sorted(draw(st.sets(st.integers(0, n - 2), max_size=3)), reverse=True):
+        del edges[k]
+    edges += draw(st.lists(st.tuples(node, node).filter(lambda e: e[0] != e[1]), max_size=20))
+    isolated = draw(st.sets(node, max_size=2))
+    return n, [(u, v) for u, v in edges if u not in isolated and v not in isolated]
+
+
+@settings(max_examples=300, deadline=None)
+@given(graph=edge_lists())
+@example(graph=(0, []))
+@example(graph=(1, []))
+@example(graph=(2, []))
+@example(graph=(70, [(v - 1, v) for v in range(1, 69)]))  # node 69 isolated
+@example(graph=(70, [(v, v + 1) for v in range(69)]))
+def test_bitmask_connectivity_matches_the_search_reference(graph):
+    n, edges = graph
+    adjacency = [set() for _ in range(n)]
+    for u, v in edges:
+        adjacency[u].add(v)
+        adjacency[v].add(u)
+    assert generator._spans(n, edges) == oracles.connected(n, adjacency)

@@ -18,7 +18,7 @@ from devine import (
     to_milli,
 )
 from devine.generator import MAX_NODES
-from devine.model import _connected
+from oracles import connected
 
 
 def test_stream_is_deterministic_and_name_separated():
@@ -108,7 +108,7 @@ def test_physical_network_shape_and_floors():
     net = generate_physical_network(cfg, stream(9, "topology"))
     assert len(net.nodes) == 30
     assert [n.id for n in net.nodes] == list(range(30))
-    assert _connected(net.num_nodes, net.adjacency)
+    assert connected(net.num_nodes, net.adjacency)
     floor_m = to_milli(cfg.resource_floor)
     for node in net.nodes:
         assert min(node.capacity.cpu_m, node.capacity.memory_m, node.capacity.gpu_m) >= floor_m
@@ -182,7 +182,7 @@ def test_single_server_network_has_no_links():
     net = generate_physical_network(cfg, stream(3, "topology"))
     assert len(net.nodes) == 1
     assert net.links == []
-    assert _connected(net.num_nodes, net.adjacency)
+    assert connected(net.num_nodes, net.adjacency)
 
 
 def test_vnr_shape_size_range_and_floors():
@@ -194,7 +194,7 @@ def test_vnr_shape_size_range_and_floors():
         assert vnr.request_id == request_id
         sizes.add(len(vnr.nodes))
         assert cfg.vnr_size[0] <= len(vnr.nodes) <= cfg.vnr_size[1]
-        assert _connected(vnr.num_nodes, vnr.adjacency)
+        assert connected(vnr.num_nodes, vnr.adjacency)
         assert vnr.lifetime >= cfg.lifetime_floor
         floor_m = to_milli(cfg.resource_floor)
         for node in vnr.nodes:

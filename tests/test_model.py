@@ -11,8 +11,7 @@ from devine import (
     from_milli,
     to_milli,
 )
-from devine.model import _connected
-from oracles import copy_network
+from oracles import connected, copy_network
 
 
 def test_milli_round_trip():
@@ -86,7 +85,7 @@ def test_network_adjacency_and_lookup():
 
 
 def _is_connected(graph):
-    return _connected(graph.num_nodes, graph.adjacency)
+    return connected(graph.num_nodes, graph.adjacency)
 
 
 def test_network_connectivity():
