@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .local_embed import LocalEmbedOutcome, LocalEmbedParams, _finish, _least_demand, _Scratch
+from .local_embed import LocalEmbedOutcome, LocalEmbedParams, _demands, _finish, _Scratch
 from .local_embed import demand_order
 from .model import PhysicalNetwork, Vnr, require_finite
 
@@ -69,8 +69,7 @@ def _first_fitting(net: PhysicalNetwork, vnr: Vnr, candidates):
     Like `embed`, it probes only servers that clear the request's least demand
     (node_fits needs free - used >= demand >= least); scanned counts every candidate.
     """
-    demands = [(n.demand.cpu_m, n.demand.memory_m, n.demand.gpu_m) for n in vnr.nodes]
-    cpu, memory, gpu = _least_demand(demands, range(vnr.num_nodes))
+    cpu, memory, gpu = _demands(vnr)[2]
     cpu_free, memory_free, gpu_free = net.cpu_free, net.memory_free, net.gpu_free
     kept = [
         (scanned, pid) for scanned, pid in enumerate(candidates, 1)

@@ -5,6 +5,8 @@ packing virtual nodes sorted by total demand, and routes each virtual link
 as soon as both endpoints are placed.  The walk is capped by a node budget
 (ceil(alpha * request size)) and a depth limit (beta); there is no
 backtracking, so a failed request is simply reported infeasible.
+A blocked virtual link first tries the two-hop detours through the common
+neighbours of its endpoints, and only then the breadth-first path search.
 """
 
 from __future__ import annotations
@@ -12,8 +14,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .embedding import EmbeddingSolution, cost_of, metric_of, revenue_of
-from .model import PhysicalNetwork, Vnr, require_finite
+from .embedding import EmbeddingSolution, metric_of, revenue_of
+from .model import PhysicalNetwork, Vnr, from_milli, require_finite
 
 INFEASIBLE = float("-inf")
 
@@ -57,18 +59,21 @@ class LocalEmbedOutcome:
 
 
 def demand_order(vnr: Vnr) -> list[int]:
-    """Virtual node ids by descending cpu+memory+gpu+incident bandwidth, ties by id.
+    """Virtual node ids by descending cpu+memory+gpu+incident bandwidth, ties by id."""
+    return list(_demands(vnr)[0])
 
-    Sorted once per request and kept on it, since every leader asks.
-    """
+
+def _demands(vnr: Vnr) -> tuple:
+    """(demand order, (cpu, memory, gpu) per node, least of each), built once per request."""
     if vnr.demand_order_memo is None:
-        def key(vid: int):
-            demand = vnr.nodes[vid].demand
-            total = demand.cpu_m + demand.memory_m + demand.gpu_m
-            return (-(total + vnr.incident_bandwidth_m(vid)), vid)
-
-        vnr.demand_order_memo = tuple(sorted(range(vnr.num_nodes), key=key))
-    return list(vnr.demand_order_memo)
+        demands = tuple((n.demand.cpu_m, n.demand.memory_m, n.demand.gpu_m) for n in vnr.nodes)
+        weight = [sum(demand) for demand in demands]
+        for link in vnr.links:
+            weight[link.u] += link.bw_demand_m
+            weight[link.v] += link.bw_demand_m
+        order = tuple(sorted(range(vnr.num_nodes), key=lambda vid: (-weight[vid], vid)))
+        vnr.demand_order_memo = (order, demands, _least_demand(demands, order))
+    return vnr.demand_order_memo
 
 
 def map_link(
@@ -84,7 +89,9 @@ def map_link(
     Links must carry the demand on top of any tentative reservations
     (`reserved` maps link index to milli-units already claimed).  Among
     shortest paths the lexicographically smallest node sequence wins.
-    Co-located endpoints yield the zero-hop path (src,).
+    Co-located endpoints yield the zero-hop path (src,).  When the
+    capacity-blind shortest path is blocked, a two-hop detour through the
+    smallest-id common neighbour is tried before the breadth-first search.
     """
     if src == dst:
         return (src,)
@@ -122,6 +129,13 @@ def map_link(
         map(usable, adjacency[dst].values())
     ):
         return None
+    # blocked within 2 hops, no usable path has fewer than 2, and every 2-hop
+    # path runs through a common neighbour: the smallest-id usable one wins
+    if len(path) <= 3 and hop_limit >= 2:
+        out, into = adjacency[src], adjacency[dst]
+        for mid in sorted(out.keys() & into.keys()):
+            if usable(out[mid]) and usable(into[mid]):
+                return (src, mid, dst)
     return _search(net, src, dst, hop_limit, usable)
 
 
@@ -223,6 +237,7 @@ class _Scratch:
         self.paths: dict[int, tuple[int, ...]] = {}
         self.node_usage: dict[int, list[int]] = {}
         self.reserved: dict[int, int] = {}
+        self.weighted_m = 0  # bandwidth x hops over the routed links
 
     def node_fits(self, vid: int, pid: int) -> bool:
         if self.injective and pid in self.placement.values():
@@ -240,12 +255,14 @@ class _Scratch:
 
     def reserve_path(self, link_idx: int, path: tuple[int, ...], bw_m: int) -> None:
         self.paths[link_idx] = path
+        self.weighted_m += bw_m * (len(path) - 1)
         for a, b in zip(path, path[1:]):
             phys_idx = self.net.adjacency[a][b]
             self.reserved[phys_idx] = self.reserved.get(phys_idx, 0) + bw_m
 
     def unreserve_path(self, link_idx: int, bw_m: int) -> None:
         path = self.paths.pop(link_idx)
+        self.weighted_m -= bw_m * (len(path) - 1)
         for a, b in zip(path, path[1:]):
             phys_idx = self.net.adjacency[a][b]
             self.reserved[phys_idx] -= bw_m
@@ -296,9 +313,8 @@ def embed(
     # but keeps a huge finite alpha from overflowing to an infinite budget
     budget = math.ceil(min(params.alpha * vnr.num_nodes, net.num_nodes))
     hop_limit = params.hop_limit()
-    remaining = demand_order(vnr)
-    demands = [(n.demand.cpu_m, n.demand.memory_m, n.demand.gpu_m) for n in vnr.nodes]
-    least = _least_demand(demands, remaining)
+    by_demand, demands, least = _demands(vnr)
+    remaining = list(by_demand)
     scratch = _Scratch(net, vnr, params.injective)
     cpu_free, memory_free, gpu_free = net.cpu_free, net.memory_free, net.gpu_free
 
@@ -354,21 +370,22 @@ def _finish(
 ) -> LocalEmbedOutcome:
     """Outcome for a complete tentative placement, priced and scored.
 
+    The cost is `cost_of`'s integer sum: cpu plus the reserved bandwidth x hops.
     Infeasible when the metric is not finite (x * revenue - y * cost
     overflowed): such a score cannot be ranked or written as JSON.
     """
     vnr = scratch.vnr
     revenue = revenue_of(vnr)
+    cost = from_milli(sum(cpu_m for cpu_m, _, _ in _demands(vnr)[1]) + scratch.weighted_m)
+    metric = metric_of(revenue, cost, params.x, params.y)
+    if not math.isfinite(metric):
+        return LocalEmbedOutcome(False, None, inspected, max_depth)
     solution = EmbeddingSolution(
         request_id=vnr.request_id,
         node_mapping=dict(sorted(scratch.placement.items())),
         path_mapping=dict(sorted(scratch.paths.items())),
         revenue=revenue,
-        cost=0.0,
-        metric=0.0,
+        cost=cost,
+        metric=metric,
     )
-    solution.cost = cost_of(vnr, solution)
-    solution.metric = metric_of(revenue, solution.cost, params.x, params.y)
-    if not math.isfinite(solution.metric):
-        return LocalEmbedOutcome(False, None, inspected, max_depth)
     return LocalEmbedOutcome(True, solution, inspected, max_depth)

@@ -279,8 +279,8 @@ class Vnr:
         self.arrival_time = arrival_time
         self.lifetime = lifetime
         self.adjacency = _build_adjacency(len(nodes), links)
-        # filled by local_embed.demand_order; a request is not mutated after construction
-        self.demand_order_memo: tuple[int, ...] | None = None
+        # local_embed._demands' (order, demands, least); a request is not mutated once built
+        self.demand_order_memo: tuple | None = None
 
     @property
     def num_nodes(self) -> int:
@@ -289,10 +289,6 @@ class Vnr:
     @property
     def num_links(self) -> int:
         return len(self.links)
-
-    def incident_bandwidth_m(self, node_id: int) -> int:
-        """Total demanded bandwidth on links touching node_id, in milli-units."""
-        return sum(self.links[idx].bw_demand_m for idx in self.adjacency[node_id].values())
 
     def fingerprint(self) -> str:
         """Stable digest of the full request, for workload-identity checks."""

@@ -10,7 +10,9 @@ from __future__ import annotations
 import hashlib
 import heapq
 import math
+import operator
 from dataclasses import asdict, dataclass, field, is_dataclass, replace
+from functools import reduce
 from statistics import median
 from typing import get_args, get_origin, get_type_hints
 
@@ -184,6 +186,11 @@ def build_workload(
     return [(vnr.arrival_time, vnr, primary) for vnr, primary in zip(vnrs, primaries)]
 
 
+def _mean(values: list[float]) -> float:
+    """Mean summed left to right, 0.0 for none; sum() compensates from Python 3.12 on."""
+    return reduce(operator.add, values, 0.0) / len(values) if values else 0.0
+
+
 def _utilization(net) -> tuple[float, float]:
     """Mean used fraction of CPU across nodes and bandwidth across links."""
     cpu = 0.0
@@ -324,12 +331,8 @@ def run_simulation(cfg: SimConfig) -> SimulationResult:
         "revenue": revenue,
         "cost": cost,
         "revenue_cost_ratio": revenue / cost if cost > 0 else 0.0,
-        "mean_cpu_utilization": (
-            sum(s.cpu_utilization for s in series) / len(series) if series else 0.0
-        ),
-        "mean_link_utilization": (
-            sum(s.link_utilization for s in series) / len(series) if series else 0.0
-        ),
+        "mean_cpu_utilization": _mean([s.cpu_utilization for s in series]),
+        "mean_link_utilization": _mean([s.link_utilization for s in series]),
         "embedding_messages": embedding_messages,
         "embedded_messages": embedded_messages,
         "workload_digest": digest.hexdigest(),
@@ -376,10 +379,10 @@ def compare_algorithms(
                 "runs": len(mine),
                 "median_acceptance_ratio": median([r["acceptance_ratio"] for r in mine]),
                 "median_revenue_cost_ratio": median([r["revenue_cost_ratio"] for r in mine]),
-                "mean_revenue": sum(r["revenue"] for r in mine) / len(mine),
-                "mean_cost": sum(r["cost"] for r in mine) / len(mine),
-                "mean_cpu_utilization": sum(r["mean_cpu_utilization"] for r in mine) / len(mine),
-                "mean_link_utilization": sum(r["mean_link_utilization"] for r in mine) / len(mine),
+                "mean_revenue": _mean([r["revenue"] for r in mine]),
+                "mean_cost": _mean([r["cost"] for r in mine]),
+                "mean_cpu_utilization": _mean([r["mean_cpu_utilization"] for r in mine]),
+                "mean_link_utilization": _mean([r["mean_link_utilization"] for r in mine]),
             }
         )
     return rows, aggregates

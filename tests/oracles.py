@@ -10,7 +10,9 @@ the first-fit chooser that probed every candidate before the least-demand
 filter, and `search` is the one-sided level fill and descent that the
 two-sided fill replaced.
 `next_hop_table` is the whole-substrate breadth-first table that the
-per-destination tables grown on demand replaced.
+per-destination tables grown on demand replaced.  `demand_memo` builds a
+request's demand order, demand triples and least demand from its nodes and
+links alone, where the package builds them once and keeps them on the request.
 `generate_physical_network` and `generate_vnr` are the per-value
 generators that the batched draws replaced: one scalar `draw_positive` per
 value, node pairs built as tuples by `itertools.combinations`, and
@@ -151,6 +153,18 @@ def levels(adjacency, src, dst, hop_limit, usable):
             return None
         frontier = reached
     return None
+
+
+def demand_memo(vnr):
+    """(order by descending cpu+memory+gpu+incident bandwidth, ties by id, demands, least)."""
+    demands = tuple((n.demand.cpu_m, n.demand.memory_m, n.demand.gpu_m) for n in vnr.nodes)
+
+    def key(vid):
+        incident = sum(vnr.links[idx].bw_demand_m for idx in vnr.adjacency[vid].values())
+        return (-(sum(demands[vid]) + incident), vid)
+
+    order = tuple(sorted(range(vnr.num_nodes), key=key))
+    return order, demands, tuple(min(column) for column in zip(*demands))
 
 
 def brute_force_feasible(net, vnr, injective=False):

@@ -3,11 +3,16 @@
 `map_link` first walks the capacity-blind next-hop table, grown from the
 destination only until it reaches the source; when that walk hits a link
 that cannot carry the demand it gives up if either endpoint has no link
-that can, and only then runs a breadth-first search that fills levels from
-both ends until they meet.  `embed` reads a breadth-first walk
+that can, tries the two-hop detours through the endpoints' common
+neighbours when the walk had at most two hops, and only then runs a
+breadth-first search that fills levels from both ends until they meet.
+`embed` reads a breadth-first walk
 that the network caches per root across calls, skips servers below the
 least remaining demand, and skips virtual nodes whose demand exceeds what
-is free on the inspected node before calling `try_place`.  GRC builds its
+is free on the inspected node before calling `try_place`.  Each request
+keeps its demand order, demand triples and least demand, and a finished
+placement is priced from the bandwidth x hops its reservations added up
+rather than by `cost_of` over its paths.  GRC builds its
 transition matrices from edge arrays, ranks a run's requests in one
 stacked iteration per request size, orders nodes by a stable argsort, and
 reuses a substrate rank while the residuals it ranked are unchanged.
@@ -15,7 +20,8 @@ bestfit picks from one fit mask over an array of what is free; firstfit and
 GRC probe only the servers that clear a request's least demand.  Each must
 give exactly what the whole next-hop table, the exhaustive path oracle,
 the one-sided search, the plain greedy loop, the loop-built rank, the
-sorted-key order and the scanning choosers give.  The generator draws each
+sorted-key order, the scanning choosers, the request-only demand memo and
+`cost_of`, `revenue_of` and `metric_of` give.  The generator draws each
 request's and each substrate's normals in one call and picks G(n, p) pairs
 from flat indices; both must consume the same stream and build the same
 objects as the per-value generators.
@@ -32,7 +38,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from devine import (
@@ -52,6 +58,7 @@ from devine import (
     allocate,
     baselines,
     best_fit,
+    cost_of,
     demand_order,
     embed,
     first_fit,
@@ -62,7 +69,9 @@ from devine import (
     generate_vnr,
     local_embed,
     map_link,
+    metric_of,
     release,
+    revenue_of,
     simulation,
     stream,
 )
@@ -169,24 +178,38 @@ def test_map_link_matches_the_path_oracle():
         counts["examples"] += 1
         counts["searched"] += search.called
         counts["found"] += search.called and got is not None
+        detoured = _blocked(net, blind, carries) and got is not None and not search.called
+        counts["detoured"] += detoured
 
     check()
-    # the breadth-first search behind a blocked walk is exercised, detours included
-    assert counts["searched"] >= counts["examples"] // 10, counts
-    assert counts["found"] >= counts["searched"] // 4, counts
+    # a blocked walk is answered by the two-hop detour or falls through to
+    # the breadth-first search: blocked walks are exercised, each way is
+    # taken, and a share of them find a path (a detour always does)
+    blocked = counts["searched"] + counts["detoured"]
+    assert blocked >= counts["examples"] // 10, counts
+    assert min(counts["searched"], counts["detoured"]) >= counts["examples"] // 40, counts
+    assert counts["found"] + counts["detoured"] >= blocked // 4, counts
+
+
+def _blocked(net, blind, carries) -> bool:
+    """Whether the capacity-blind path exists and a hop on it cannot carry the demand."""
+    hops = zip(blind, blind[1:]) if blind else ()
+    return any(not carries(net.adjacency[a][b]) for a, b in hops)
 
 
 @st.composite
-def sparse_networks(draw):
-    """Random substrates of 8-60 nodes at link probability 0.04-0.3, with their stream.
+def seeded_networks(draw, nodes=(8, 60), density=(0.04, 0.3)):
+    """Random substrates of `nodes` nodes at a link probability in `density`, with their stream.
 
     Size, density, links and residuals come from one drawn seed rather than
     a draw each, so they spread evenly over their ranges instead of
-    crowding at the small end, and a 60-node substrate stays cheap to draw.
+    crowding at the small end, and a 100-node substrate stays cheap to draw.
+    The defaults are sparse; `paper-default` (100 servers, p = 0.4) is dense,
+    and there most capacity-blind shortest paths have one or two hops.
     """
     rng = random.Random(draw(st.integers(min_value=0, max_value=2**32 - 1)))
-    n = rng.randint(8, 60)
-    p = rng.uniform(0.04, 0.3)
+    n = rng.randint(*nodes)
+    p = rng.uniform(*density)
     pairs = [pair for pair in combinations(range(n), 2) if rng.random() < p]
     net = PhysicalNetwork(
         [PhysicalNode(i, ResourceVector(1, 1, 1)) for i in range(n)],
@@ -215,7 +238,7 @@ def test_two_sided_search_matches_the_one_sided_reference():
     @settings(max_examples=500, deadline=None)
     @given(data=st.data())
     def check(data):
-        net, rng = data.draw(sparse_networks())
+        net, rng = data.draw(seeded_networks())
         src, dst = rng.sample(range(net.num_nodes), 2)
         demand_m = rng.randint(1, 8_000)
         hop_limit = rng.randint(1, 9)
@@ -258,6 +281,58 @@ def test_two_sided_search_matches_the_one_sided_reference():
     assert counts["met past forward level 1"] >= share, counts
     assert counts["met past backward level 1"] >= share, counts
     assert counts["no path"] >= share, counts
+
+
+def test_two_hop_detour_matches_the_search_on_dense_substrates():
+    counts = Counter()
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def check(data):
+        net, rng = data.draw(seeded_networks(nodes=(20, 100), density=(0.2, 0.6)))
+        src, dst = rng.sample(range(net.num_nodes), 2)
+        demand_m = rng.randint(1, 8_000)
+        hop_limit = rng.randint(1, 4)
+        reserved = {
+            idx: rng.randint(0, 20_000) for idx in range(net.num_links) if rng.random() < 0.1
+        }
+        blind = _blind_path(net, src, dst)
+        if blind is not None:
+            # block the capacity-blind path at one hop
+            step = rng.randrange(len(blind) - 1)
+            idx = net.adjacency[blind[step]][blind[step + 1]]
+            reserved[idx] = net.bw_free[idx]
+            if rng.random() < 0.4:
+                # and every two-hop path at one of its links, so only a longer path is left
+                out, into = net.adjacency[src], net.adjacency[dst]
+                for mid in out.keys() & into.keys():
+                    idx = rng.choice((out[mid], into[mid]))
+                    reserved[idx] = net.bw_free[idx]
+
+        def usable(idx):
+            return net.bw_free[idx] - reserved.get(idx, 0) >= demand_m
+
+        with mock.patch.object(local_embed, "_search", wraps=local_embed._search) as search:
+            got = map_link(net, src, dst, demand_m, hop_limit, reserved)
+        assert got == oracles.search(net, src, dst, hop_limit, usable)
+        blocked = _blocked(net, blind, usable)
+        if blocked and hop_limit == 1:
+            assert got is None  # no detour fits in one hop
+            counts["one hop allowed"] += 1
+        counts["examples"] += 1
+        detoured = blocked and got is not None and not search.called
+        counts["detoured"] += detoured
+        counts["detoured a 2-hop walk"] += detoured and len(blind) == 3
+        counts["searched, 3+ hops"] += search.called and got is not None and len(got) > 3
+        counts["searched, no path"] += search.called and got is None
+
+    check()
+    share = counts["examples"] // 20
+    assert counts["detoured"] >= 4 * share, counts
+    assert counts["detoured a 2-hop walk"] >= share, counts
+    assert counts["searched, 3+ hops"] >= share, counts
+    assert counts["searched, no path"] >= share, counts
+    assert counts["one hop allowed"] >= share, counts
 
 
 def test_next_hop_walk_is_the_capacity_blind_best_path():
@@ -313,8 +388,19 @@ def plain_greedy_embed(root, net, vnr, params):
     return _finish(scratch, params, inspected, max_depth)
 
 
+def _assert_priced_from_its_paths(vnr, outcome, params):
+    """A feasible outcome's revenue, cost and metric are the priced solution's, bit for bit."""
+    if outcome.feasible:
+        solution = outcome.solution
+        revenue, cost = revenue_of(vnr), cost_of(vnr, solution)
+        want = (revenue, cost, metric_of(revenue, cost, params.x, params.y))
+        got = (solution.revenue, solution.cost, solution.metric)
+        assert [value.hex() for value in got] == [value.hex() for value in want]
+
+
 def _keep(net, ledger, live, vnr, outcome, params):
     """Allocate a feasible outcome, releasing the oldest so that two stay live."""
+    _assert_priced_from_its_paths(vnr, outcome, params)
     if outcome.feasible:
         allocate(net, vnr, outcome.solution, ledger, injective=params.injective)
         live.append(vnr.request_id)
@@ -342,11 +428,41 @@ def test_embed_matches_the_plain_greedy_loop(data):
         params = LocalEmbedParams(
             alpha=data.draw(st.sampled_from([0.5, 1.0, 2.0, 30.0])),
             beta=data.draw(st.integers(0, 3)),
+            x=data.draw(st.sampled_from([1.0, 0.3, 2.5])),
+            y=data.draw(st.sampled_from([1.0, 0.7, 1e-3])),
             path_hop_limit=data.draw(st.none() | st.integers(0, 6)),
             injective=data.draw(st.booleans()),
         )
         root = data.draw(st.integers(0, net.num_nodes - 1))
         _embed_and_keep(net, ledger, live, root, vnr, params)
+
+
+def test_a_failed_link_rolls_back_the_reservations_and_their_price():
+    # a line 0-1-2-3 whose last link carries one 5-unit link only
+    net = PhysicalNetwork(
+        [PhysicalNode(i, ResourceVector(50, 50, 50)) for i in range(4)],
+        [PhysicalLink(0, 1, 10.0), PhysicalLink(1, 2, 10.0), PhysicalLink(2, 3, 5.0)],
+    )
+    triangle = [VirtualLink(0, 1, 5.0), VirtualLink(0, 2, 5.0), VirtualLink(1, 2, 5.0)]
+    vnr = Vnr(0, [VirtualNode(i, ResourceVector(1, 1, 1)) for i in range(3)], triangle)
+    scratch = _Scratch(net, vnr, injective=False)
+    assert scratch.try_place(0, 0, 6) and scratch.try_place(1, 1, 6)
+    before = (scratch.weighted_m, dict(scratch.reserved), dict(scratch.paths))
+    assert before == (5000, {0: 5000}, {0: (0, 1)})
+    calls = []
+
+    def spy(net, src, dst, bw_m, hop_limit, reserved):
+        calls.append((src, dst, dict(reserved), scratch.weighted_m))
+        return map_link(net, src, dst, bw_m, hop_limit, reserved)
+
+    with mock.patch.object(local_embed, "map_link", spy):
+        # link 1 (0-2) routes over 0-1-2-3, then link 2 (1-2) finds 2-3 full
+        assert not scratch.try_place(2, 3, 6)
+    assert calls == [(0, 3, {0: 5000}, 5000), (1, 3, {0: 10_000, 1: 5000, 2: 5000}, 20_000)]
+    # rolled back: a zero entry reserves nothing
+    claimed = {idx: bw for idx, bw in scratch.reserved.items() if bw}
+    assert (scratch.weighted_m, claimed, scratch.paths) == before
+    assert scratch.placement == {0: 0, 1: 1}
 
 
 def test_cached_walks_serve_every_root_and_depth_across_calls():
@@ -487,6 +603,7 @@ def _same_first_fits(net, vnr, params) -> bool:
             want = embedder(net, vnr, params)
         got = embedder(net, vnr, params)
         assert got == want  # mapping, paths, metric and inspected count
+        _assert_priced_from_its_paths(vnr, got, params)
     demands = [node.demand for node in vnr.nodes]
     least = [min(column) for column in zip(*((d.cpu_m, d.memory_m, d.gpu_m) for d in demands))]
     frees = (net.cpu_free, net.memory_free, net.gpu_free)
@@ -879,6 +996,47 @@ def test_workload_draws_the_scalar_primaries(cfg, seed):
     fast = _facts(lambda: simulation.build_workload(cfg, 15.0, seed), _workload_facts)
     slow = _facts(lambda: oracles.build_workload(cfg, 15.0, seed), _workload_facts)
     assert fast == slow
+
+
+def test_request_memo_matches_a_fresh_computation():
+    counts = Counter()
+
+    @settings(max_examples=60, deadline=None)
+    @given(cfg=generator_configs(), seed=st.integers(0, 2**32), tied=requests(max_nodes=6))
+    def check(cfg, seed, tied):
+        # small whole amounts: demand weights often tie, and ties go by id
+        assert local_embed._demands(tied) == oracles.demand_memo(tied)
+        try:
+            net = generate_physical_network(cfg, stream(seed, "topology"))
+            rng = stream(seed, "vnr")
+            vnrs = [generate_vnr(cfg, request_id, 0.0, rng) for request_id in range(3)]
+        except GenerationError:
+            assume(False)
+        for vnr in vnrs:
+            assert vnr.demand_order_memo is None  # built on first use, not with the request
+            memo = local_embed._demands(vnr)
+            assert memo == oracles.demand_memo(vnr)
+            assert vnr.demand_order_memo is memo and local_embed._demands(vnr) is memo
+            # what demand_order returns is the caller's to change
+            order = demand_order(vnr)
+            order.reverse()
+            order.append(vnr.num_nodes)
+            assert demand_order(vnr) == list(memo[0])
+            assert vnr.demand_order_memo == oracles.demand_memo(vnr)
+            # embeds from different roots read the memo the first one built, and
+            # each equals the plain loop on a twin request that has built none
+            for root in range(min(5, net.num_nodes)):
+                twin = Vnr(vnr.request_id, vnr.nodes, vnr.links, vnr.arrival_time, vnr.lifetime)
+                params = LocalEmbedParams(beta=2)
+                outcome = embed(root, net, vnr, params)
+                assert outcome == plain_greedy_embed(root, net, twin, params)
+                counts["embeds"] += 1
+                counts["feasible"] += outcome.feasible
+            assert vnr.demand_order_memo is memo
+
+    check()
+    assert counts["feasible"] >= counts["embeds"] // 4, counts
+    assert counts["feasible"] < counts["embeds"], counts
 
 
 @st.composite

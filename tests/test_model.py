@@ -135,7 +135,7 @@ def test_vnr_validation():
 def test_vnr_adjacency_and_incident_bandwidth():
     vnr = _small_vnr(bw=5.0)
     assert vnr.adjacency[0] == {1: 0}
-    assert vnr.incident_bandwidth_m(0) == 5000
+    assert vnr.links[vnr.adjacency[0][1]].bw_demand_m == 5000
     assert _is_connected(vnr)
     lonely = Vnr(1, [VirtualNode(0, ResourceVector(1)), VirtualNode(1, ResourceVector(1))], [], 0.0, 1.0)
     assert not _is_connected(lonely)

@@ -302,3 +302,11 @@ def test_leaky_release_breaks_conservation(monkeypatch):
     monkeypatch.setattr(simulation, "release", leaky_release)
     with pytest.raises(SimulationError, match="conservation broken"):
         run_simulation(_small_cfg(algorithm="firstfit"))
+
+
+def test_means_add_left_to_right_on_every_python():
+    # sum() compensates from Python 3.12 on and would give 1/3 here; the
+    # summary and compare means pin the plain left-to-right sum on every version
+    assert simulation._mean([1e16, 1.0, -1e16]) == 0.0
+    assert simulation._mean([]) == 0.0
+    assert simulation._mean([0.1, 0.2, 0.3]) == (0.1 + 0.2 + 0.3) / 3
