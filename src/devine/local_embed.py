@@ -5,8 +5,8 @@ packing virtual nodes sorted by total demand, and routes each virtual link
 as soon as both endpoints are placed.  The walk is capped by a node budget
 (ceil(alpha * request size)) and a depth limit (beta); there is no
 backtracking, so a failed request is simply reported infeasible.
-A blocked virtual link first tries the two-hop detours through the common
-neighbours of its endpoints, and only then the breadth-first path search.
+A blocked virtual link first tries two-hop detours through its endpoints'
+common neighbours, then three-hop detours, and only then the path search.
 """
 
 from __future__ import annotations
@@ -90,8 +90,8 @@ def map_link(
     (`reserved` maps link index to milli-units already claimed).  Among
     shortest paths the lexicographically smallest node sequence wins.
     Co-located endpoints yield the zero-hop path (src,).  When the
-    capacity-blind shortest path is blocked, a two-hop detour through the
-    smallest-id common neighbour is tried before the breadth-first search.
+    capacity-blind shortest path is blocked, two-hop and then three-hop
+    detours are tried, smallest first, before the breadth-first search.
     """
     if src == dst:
         return (src,)
@@ -131,11 +131,21 @@ def map_link(
         return None
     # blocked within 2 hops, no usable path has fewer than 2, and every 2-hop
     # path runs through a common neighbour: the smallest-id usable one wins
+    out, into = adjacency[src], adjacency[dst]
     if len(path) <= 3 and hop_limit >= 2:
-        out, into = adjacency[src], adjacency[dst]
         for mid in sorted(out.keys() & into.keys()):
             if usable(out[mid]) and usable(into[mid]):
                 return (src, mid, dst)
+    # now no usable path has fewer than 3 hops (the blind one has 3, or no 2-hop
+    # detour passed), and each 3-hop path is (src, a, b, dst) with b next to a and
+    # dst: ascending (a, b) is _search's lexicographic tie order.  a == dst or
+    # b == src needs the direct link, which only the blocked 1-hop walk has.
+    if len(path) <= 4 and hop_limit >= 3:
+        for a in net.neighbors(src):  # ascending ids
+            if usable(out[a]):
+                for b in sorted(adjacency[a].keys() & into.keys()):
+                    if usable(adjacency[a][b]) and usable(into[b]):
+                        return (src, a, b, dst)
     return _search(net, src, dst, hop_limit, usable)
 
 
@@ -266,6 +276,8 @@ class _Scratch:
         for a, b in zip(path, path[1:]):
             phys_idx = self.net.adjacency[a][b]
             self.reserved[phys_idx] -= bw_m
+            if not self.reserved[phys_idx]:  # a zero entry only slows later probes
+                del self.reserved[phys_idx]
 
     def try_place(self, vid: int, pid: int, hop_limit: int) -> bool:
         """Place vid on pid if capacity and all links to placed peers allow it."""
@@ -320,11 +332,14 @@ def embed(
 
     walk = net.walk(root)
     order = walk.order
+    known = len(order)  # only grow() lengthens the walk
     inspected = 0
     max_depth = 0
     while remaining and inspected < budget:
-        if inspected == len(order) and not walk.grow():
-            break
+        if inspected == known:
+            if not walk.grow():
+                break
+            known = len(order)
         here, depth = order[inspected]
         if depth > params.beta:
             break

@@ -4,8 +4,9 @@
 destination only until it reaches the source; when that walk hits a link
 that cannot carry the demand it gives up if either endpoint has no link
 that can, tries the two-hop detours through the endpoints' common
-neighbours when the walk had at most two hops, and only then runs a
-breadth-first search that fills levels from both ends until they meet.
+neighbours when the walk had at most two hops, then the three-hop detours
+when it had at most three, and only then runs a breadth-first search that
+fills levels from both ends until they meet.
 `embed` reads a breadth-first walk
 that the network caches per root across calls, skips servers below the
 least remaining demand, and skips virtual nodes whose demand exceeds what
@@ -182,9 +183,9 @@ def test_map_link_matches_the_path_oracle():
         counts["detoured"] += detoured
 
     check()
-    # a blocked walk is answered by the two-hop detour or falls through to
-    # the breadth-first search: blocked walks are exercised, each way is
-    # taken, and a share of them find a path (a detour always does)
+    # a blocked walk is answered by the two- or three-hop detour or falls
+    # through to the breadth-first search: blocked walks are exercised, each
+    # way is taken, and a share of them find a path (a detour always does)
     blocked = counts["searched"] + counts["detoured"]
     assert blocked >= counts["examples"] // 10, counts
     assert min(counts["searched"], counts["detoured"]) >= counts["examples"] // 40, counts
@@ -198,7 +199,7 @@ def _blocked(net, blind, carries) -> bool:
 
 
 @st.composite
-def seeded_networks(draw, nodes=(8, 60), density=(0.04, 0.3)):
+def seeded_networks(draw, nodes=(8, 60), density=(0.04, 0.3), shuffled=False):
     """Random substrates of `nodes` nodes at a link probability in `density`, with their stream.
 
     Size, density, links and residuals come from one drawn seed rather than
@@ -206,15 +207,20 @@ def seeded_networks(draw, nodes=(8, 60), density=(0.04, 0.3)):
     crowding at the small end, and a 100-node substrate stays cheap to draw.
     The defaults are sparse; `paper-default` (100 servers, p = 0.4) is dense,
     and there most capacity-blind shortest paths have one or two hops.
+    `shuffled` lists the links in random order, so no node's adjacency map
+    holds its neighbours in ascending id.
     """
     rng = random.Random(draw(st.integers(min_value=0, max_value=2**32 - 1)))
     n = rng.randint(*nodes)
     p = rng.uniform(*density)
     pairs = [pair for pair in combinations(range(n), 2) if rng.random() < p]
+    links = [(u, v, 1000 * rng.randint(0, 30)) for u, v in pairs]
+    if shuffled:
+        rng.shuffle(links)
     net = PhysicalNetwork(
         [PhysicalNode(i, ResourceVector(1, 1, 1)) for i in range(n)],
-        [PhysicalLink(u, v, 30.0) for u, v in pairs],
-        bw_free=[1000 * rng.randint(0, 30) for _ in pairs],
+        [PhysicalLink(u, v, 30.0) for u, v, _ in links],
+        bw_free=[free for _, _, free in links],
     )
     return net, rng
 
@@ -283,6 +289,41 @@ def test_two_sided_search_matches_the_one_sided_reference():
     assert counts["no path"] >= share, counts
 
 
+def _block_two_hop_paths(net, src, dst, reserved, rng):
+    """Saturate one link, at random, of every two-hop path from src to dst."""
+    out, into = net.adjacency[src], net.adjacency[dst]
+    for mid in out.keys() & into.keys():
+        idx = rng.choice((out[mid], into[mid]))
+        reserved[idx] = net.bw_free[idx]
+
+
+def _block_three_hop_paths(net, src, dst, reserved):
+    """Saturate the middle link of every three-hop path (src, a, b, dst)."""
+    into = net.adjacency[dst]
+    for a in net.adjacency[src].keys() - {dst}:
+        for b in net.adjacency[a].keys() & into.keys() - {src}:
+            idx = net.adjacency[a][b]
+            reserved[idx] = net.bw_free[idx]
+
+
+def _block_short_paths(net, src, dst, reserved, rng, blocks):
+    """Block the capacity-blind path from src to dst at one hop, and return it.
+
+    With the chance `blocks[0]` every two-hop path is blocked too, and then
+    with the chance `blocks[1]` every three-hop path.
+    """
+    blind = _blind_path(net, src, dst)
+    if blind is not None:
+        step = rng.randrange(len(blind) - 1)
+        idx = net.adjacency[blind[step]][blind[step + 1]]
+        reserved[idx] = net.bw_free[idx]
+        if rng.random() < blocks[0]:
+            _block_two_hop_paths(net, src, dst, reserved, rng)
+            if rng.random() < blocks[1]:
+                _block_three_hop_paths(net, src, dst, reserved)
+    return blind
+
+
 def test_two_hop_detour_matches_the_search_on_dense_substrates():
     counts = Counter()
 
@@ -292,22 +333,14 @@ def test_two_hop_detour_matches_the_search_on_dense_substrates():
         net, rng = data.draw(seeded_networks(nodes=(20, 100), density=(0.2, 0.6)))
         src, dst = rng.sample(range(net.num_nodes), 2)
         demand_m = rng.randint(1, 8_000)
-        hop_limit = rng.randint(1, 4)
+        hop_limit = rng.randint(1, 5)
         reserved = {
             idx: rng.randint(0, 20_000) for idx in range(net.num_links) if rng.random() < 0.1
         }
-        blind = _blind_path(net, src, dst)
-        if blind is not None:
-            # block the capacity-blind path at one hop
-            step = rng.randrange(len(blind) - 1)
-            idx = net.adjacency[blind[step]][blind[step + 1]]
-            reserved[idx] = net.bw_free[idx]
-            if rng.random() < 0.4:
-                # and every two-hop path at one of its links, so only a longer path is left
-                out, into = net.adjacency[src], net.adjacency[dst]
-                for mid in out.keys() & into.keys():
-                    idx = rng.choice((out[mid], into[mid]))
-                    reserved[idx] = net.bw_free[idx]
+        # the blind path blocked at one hop; in some examples every two-hop
+        # path too, and in some of those every three-hop path, so only a
+        # longer path is left
+        blind = _block_short_paths(net, src, dst, reserved, rng, (0.5, 0.6))
 
         def usable(idx):
             return net.bw_free[idx] - reserved.get(idx, 0) >= demand_m
@@ -323,16 +356,83 @@ def test_two_hop_detour_matches_the_search_on_dense_substrates():
         detoured = blocked and got is not None and not search.called
         counts["detoured"] += detoured
         counts["detoured a 2-hop walk"] += detoured and len(blind) == 3
-        counts["searched, 3+ hops"] += search.called and got is not None and len(got) > 3
+        counts["detoured a 3-hop path"] += detoured and len(got) == 4
+        counts["searched, 4+ hops"] += search.called and got is not None and len(got) > 4
         counts["searched, no path"] += search.called and got is None
 
     check()
     share = counts["examples"] // 20
     assert counts["detoured"] >= 4 * share, counts
     assert counts["detoured a 2-hop walk"] >= share, counts
-    assert counts["searched, 3+ hops"] >= share, counts
+    assert counts["detoured a 3-hop path"] >= share, counts
+    assert counts["searched, 4+ hops"] >= share, counts
     assert counts["searched, no path"] >= share, counts
     assert counts["one hop allowed"] >= share, counts
+
+
+def _at_blind_distance(net, src, hops, rng):
+    """A node `hops` capacity-blind hops from src, or any other node when none is.
+
+    It is one with a three-hop path from src other than the blind path,
+    when there is such a node.
+    """
+    adjacency = net.adjacency
+    seen, level = {src}, {src}
+    for _ in range(hops):
+        level = {nb for here in level for nb in adjacency[here]} - seen
+        seen |= level
+    three = Counter(  # three-hop paths from src, by their last node
+        c
+        for a in adjacency[src]
+        for b in adjacency[a].keys() - {src}
+        for c in adjacency[b].keys() - {a}
+    )
+    pick = sorted(node for node in level if three[node] > (hops == 3)) or sorted(level)
+    return rng.choice(pick or [node for node in range(net.num_nodes) if node != src])
+
+
+def test_three_hop_detour_matches_the_search_on_sparse_substrates():
+    counts = Counter()
+
+    @settings(max_examples=1000, deadline=None)
+    @given(data=st.data())
+    def check(data):
+        # the `large-light` regime: few common neighbours, so most blocked
+        # walks end on a three-hop path
+        net, rng = data.draw(seeded_networks(nodes=(30, 150), density=(0.02, 0.1), shuffled=True))
+        src = rng.randrange(net.num_nodes)
+        # a destination 1, 2 or 3 blind hops away, or any other node
+        dst = _at_blind_distance(net, src, rng.randint(1, 3), rng)
+        demand_m = rng.randint(1, 8_000)
+        hop_limit = rng.randint(2, 5)
+        reserved = {
+            idx: rng.randint(0, 20_000) for idx in range(net.num_links) if rng.random() < 0.1
+        }
+        blind = _block_short_paths(net, src, dst, reserved, rng, (0.4, 0.3))
+
+        def usable(idx):
+            return net.bw_free[idx] - reserved.get(idx, 0) >= demand_m
+
+        with mock.patch.object(local_embed, "_search", wraps=local_embed._search) as search:
+            got = map_link(net, src, dst, demand_m, hop_limit, reserved)
+        assert got == oracles.search(net, src, dst, hop_limit, usable)
+        counts["examples"] += 1
+        if hop_limit == 2:
+            assert got is None or len(got) <= 3
+            three = oracles.search(net, src, dst, 3, usable)
+            counts["hop limit 2 cut a 3-hop path"] += got is None and three is not None
+        if _blocked(net, blind, usable) and got is not None and not search.called:
+            counts[f"three-hop detour, {len(blind) - 1}-hop walk"] += len(got) == 4
+        counts["searched, 4+ hops"] += search.called and got is not None and len(got) > 4
+        counts["searched, no path"] += search.called and got is None
+
+    check()
+    share = counts["examples"] // 20
+    for walk in (1, 2, 3):
+        assert counts[f"three-hop detour, {walk}-hop walk"] >= share, counts
+    assert counts["searched, 4+ hops"] >= share, counts
+    assert counts["searched, no path"] >= share, counts
+    assert counts["hop limit 2 cut a 3-hop path"] >= share, counts
 
 
 def test_next_hop_walk_is_the_capacity_blind_best_path():
@@ -459,9 +559,8 @@ def test_a_failed_link_rolls_back_the_reservations_and_their_price():
         # link 1 (0-2) routes over 0-1-2-3, then link 2 (1-2) finds 2-3 full
         assert not scratch.try_place(2, 3, 6)
     assert calls == [(0, 3, {0: 5000}, 5000), (1, 3, {0: 10_000, 1: 5000, 2: 5000}, 20_000)]
-    # rolled back: a zero entry reserves nothing
-    claimed = {idx: bw for idx, bw in scratch.reserved.items() if bw}
-    assert (scratch.weighted_m, claimed, scratch.paths) == before
+    # rolled back, with no zero entries left behind
+    assert (scratch.weighted_m, scratch.reserved, scratch.paths) == before
     assert scratch.placement == {0: 0, 1: 1}
 
 
