@@ -5,6 +5,8 @@ packing virtual nodes sorted by total demand, and routes each virtual link
 as soon as both endpoints are placed.  The walk is capped by a node budget
 (ceil(alpha * request size)) and a depth limit (beta); there is no
 backtracking, so a failed request is simply reported infeasible.
+A root with room for the whole request takes all of it without a walk,
+and a virtual link whose endpoints share a server skips the path mapper.
 A blocked virtual link first tries two-hop detours through its endpoints'
 common neighbours, then three-hop detours, and only then the path search.
 """
@@ -14,7 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .embedding import EmbeddingSolution, metric_of, revenue_of
+from .embedding import EmbeddingSolution, metric_of
 from .model import PhysicalNetwork, Vnr, from_milli, require_finite
 
 INFEASIBLE = float("-inf")
@@ -64,7 +66,7 @@ def demand_order(vnr: Vnr) -> list[int]:
 
 
 def _demands(vnr: Vnr) -> tuple:
-    """(demand order, (cpu, memory, gpu) per node, least of each), built once per request."""
+    """(demand order, (cpu, memory, gpu) per node, least, totals, revenue), once per request."""
     if vnr.demand_order_memo is None:
         demands = tuple((n.demand.cpu_m, n.demand.memory_m, n.demand.gpu_m) for n in vnr.nodes)
         weight = [sum(demand) for demand in demands]
@@ -72,7 +74,9 @@ def _demands(vnr: Vnr) -> tuple:
             weight[link.u] += link.bw_demand_m
             weight[link.v] += link.bw_demand_m
         order = tuple(sorted(range(vnr.num_nodes), key=lambda vid: (-weight[vid], vid)))
-        vnr.demand_order_memo = (order, demands, _least_demand(demands, order))
+        totals = tuple(map(sum, zip(*demands)))
+        revenue = from_milli(totals[0] + sum(link.bw_demand_m for link in vnr.links))  # revenue_of
+        vnr.demand_order_memo = (order, demands, _least_demand(demands, order), totals, revenue)
     return vnr.demand_order_memo
 
 
@@ -254,9 +258,7 @@ class _Scratch:
             return False
         demand = self.vnr.nodes[vid].demand
         net = self.net
-        used = self.node_usage.get(pid)
-        if used is None:
-            used = (0, 0, 0)
+        used = self.node_usage.get(pid, (0, 0, 0))
         return (
             demand.cpu_m <= net.cpu_free[pid] - used[0]
             and demand.memory_m <= net.memory_free[pid] - used[1]
@@ -275,9 +277,9 @@ class _Scratch:
         self.weighted_m -= bw_m * (len(path) - 1)
         for a, b in zip(path, path[1:]):
             phys_idx = self.net.adjacency[a][b]
-            self.reserved[phys_idx] -= bw_m
-            if not self.reserved[phys_idx]:  # a zero entry only slows later probes
-                del self.reserved[phys_idx]
+            left = self.reserved.pop(phys_idx, 0) - bw_m  # gone if a 0-bw path shares it
+            if left:  # a zero entry only slows later probes
+                self.reserved[phys_idx] = left
 
     def try_place(self, vid: int, pid: int, hop_limit: int) -> bool:
         """Place vid on pid if capacity and all links to placed peers allow it."""
@@ -289,12 +291,15 @@ class _Scratch:
             if peer is None:
                 continue
             bw_m = self.vnr.links[link_idx].bw_demand_m
-            path = map_link(self.net, peer, pid, bw_m, hop_limit, self.reserved)
-            if path is None:
-                for idx, bw in routed:
-                    self.unreserve_path(idx, bw)
-                return False
-            self.reserve_path(link_idx, path, bw_m)
+            if peer == pid:  # map_link's (pid,): it reserves nothing and adds 0 to weighted_m
+                self.paths[link_idx] = (pid,)
+            else:
+                path = map_link(self.net, peer, pid, bw_m, hop_limit, self.reserved)
+                if path is None:
+                    for idx, bw in routed:
+                        self.unreserve_path(idx, bw)
+                    return False
+                self.reserve_path(link_idx, path, bw_m)
             routed.append((link_idx, bw_m))
         demand = self.vnr.nodes[vid].demand
         used = self.node_usage.setdefault(pid, [0, 0, 0])
@@ -313,6 +318,7 @@ def embed(
 ) -> LocalEmbedOutcome:
     """Bounded BFS embedding rooted at one substrate node.
 
+    A root with room for the whole request takes all of it unless injective.
     Does not mutate the network; the caller allocates the returned solution
     if it wins.
     """
@@ -325,11 +331,22 @@ def embed(
     # but keeps a huge finite alpha from overflowing to an infinite budget
     budget = math.ceil(min(params.alpha * vnr.num_nodes, net.num_nodes))
     hop_limit = params.hop_limit()
-    by_demand, demands, least = _demands(vnr)
-    remaining = list(by_demand)
+    by_demand, demands, least, totals, _ = _demands(vnr)
     scratch = _Scratch(net, vnr, params.injective)
     cpu_free, memory_free, gpu_free = net.cpu_free, net.memory_free, net.gpu_free
+    # The walk starts at the root, depth 0 <= beta, within a budget >= 1.  Totals bound
+    # every demand: the root clears the least one, and in demand order each node fits
+    # what is left (free - placed >= total - placed >= its demand), links co-located.
+    if not params.injective and totals[0] <= cpu_free[root] and (
+        totals[1] <= memory_free[root] and totals[2] <= gpu_free[root]
+    ):
+        scratch.placement = dict.fromkeys(by_demand, root)
+        scratch.paths = dict.fromkeys(range(vnr.num_links), (root,))
+        return _finish(scratch, params, 1, 0)
 
+    remaining = list(by_demand)
+    least_cpu, least_memory, least_gpu = least
+    beta = params.beta
     walk = net.walk(root)
     order = walk.order
     known = len(order)  # only grow() lengthens the walk
@@ -341,22 +358,20 @@ def embed(
                 break
             known = len(order)
         here, depth = order[inspected]
-        if depth > params.beta:
+        if depth > beta:
             break
         inspected += 1
         max_depth = depth  # the walk never goes back up a level
         # Each node is inspected once per embed, so nothing is tentatively
         # placed here yet and the live residual is what is free.  A server
         # below the least remaining demand in any resource fits nothing.
-        free_cpu = cpu_free[here]
-        free_memory = memory_free[here]
-        free_gpu = gpu_free[here]
-        if free_cpu < least[0] or free_memory < least[1] or free_gpu < least[2]:
+        free_cpu, free_memory, free_gpu = cpu_free[here], memory_free[here], gpu_free[here]
+        if free_cpu < least_cpu or free_memory < least_memory or free_gpu < least_gpu:
             continue
         # front-to-back greedy pass: skip individual misfits, keep scanning.
         # A demand above what is free here would fail node_fits inside
         # try_place, so it is skipped without the call.
-        placed = False
+        stale = False
         for vid in list(remaining):
             cpu_m, memory_m, gpu_m = demands[vid]
             if cpu_m > free_cpu or memory_m > free_memory or gpu_m > free_gpu:
@@ -366,9 +381,9 @@ def embed(
                 free_cpu -= cpu_m
                 free_memory -= memory_m
                 free_gpu -= gpu_m
-                placed = True
-        if placed and remaining:
-            least = _least_demand(demands, remaining)
+                stale |= cpu_m == least_cpu or memory_m == least_memory or gpu_m == least_gpu
+        if stale and remaining:  # a least demand moves only when a node that held it leaves
+            least_cpu, least_memory, least_gpu = _least_demand(demands, remaining)
 
     if remaining:
         return LocalEmbedOutcome(False, None, inspected, max_depth)
@@ -390,8 +405,8 @@ def _finish(
     overflowed): such a score cannot be ranked or written as JSON.
     """
     vnr = scratch.vnr
-    revenue = revenue_of(vnr)
-    cost = from_milli(sum(cpu_m for cpu_m, _, _ in _demands(vnr)[1]) + scratch.weighted_m)
+    totals, revenue = _demands(vnr)[3:]  # the request's, alike for every leader
+    cost = from_milli(totals[0] + scratch.weighted_m)
     metric = metric_of(revenue, cost, params.x, params.y)
     if not math.isfinite(metric):
         return LocalEmbedOutcome(False, None, inspected, max_depth)

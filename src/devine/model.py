@@ -279,7 +279,7 @@ class Vnr:
         self.arrival_time = arrival_time
         self.lifetime = lifetime
         self.adjacency = _build_adjacency(len(nodes), links)
-        # local_embed._demands' (order, demands, least); a request is not mutated once built
+        # local_embed._demands' (order, demands, least, totals, revenue); built once, never mutated
         self.demand_order_memo: tuple | None = None
 
     @property

@@ -11,8 +11,12 @@ filter, and `search` is the one-sided level fill and descent that the
 two-sided fill replaced.
 `next_hop_table` is the whole-substrate breadth-first table that the
 per-destination tables grown on demand replaced.  `demand_memo` builds a
-request's demand order, demand triples and least demand from its nodes and
-links alone, where the package builds them once and keeps them on the request.
+request's demand order, demand triples, least demand, demand totals and
+revenue from its nodes and links alone, where the package builds them once
+and keeps them on the request.  `RoutingScratch` is the scratch whose
+`try_place` routes every virtual link through `map_link` and `reserve_path`,
+co-located endpoints included, where the package keeps their one-node path
+without either call.
 `generate_physical_network` and `generate_vnr` are the per-value
 generators that the batched draws replaced: one scalar `draw_positive` per
 value, node pairs built as tuples by `itertools.combinations`, and
@@ -40,9 +44,12 @@ from devine import (
     VirtualNode,
     Vnr,
     draw_positive,
+    from_milli,
+    local_embed,
     stream,
 )
 from devine.baselines import _greedy_by_choice
+from devine.local_embed import _Scratch
 
 
 def simple_paths(net, src, dst, bw_demand_m, reserved=None, max_hops=None):
@@ -156,7 +163,8 @@ def levels(adjacency, src, dst, hop_limit, usable):
 
 
 def demand_memo(vnr):
-    """(order by descending cpu+memory+gpu+incident bandwidth, ties by id, demands, least)."""
+    """(order by descending cpu+memory+gpu+incident bandwidth, ties by id, demands,
+    least, totals, revenue)."""
     demands = tuple((n.demand.cpu_m, n.demand.memory_m, n.demand.gpu_m) for n in vnr.nodes)
 
     def key(vid):
@@ -164,7 +172,43 @@ def demand_memo(vnr):
         return (-(sum(demands[vid]) + incident), vid)
 
     order = tuple(sorted(range(vnr.num_nodes), key=key))
-    return order, demands, tuple(min(column) for column in zip(*demands))
+    least = tuple(min(column) for column in zip(*demands))
+    totals = (
+        sum(node.demand.cpu_m for node in vnr.nodes),
+        sum(node.demand.memory_m for node in vnr.nodes),
+        sum(node.demand.gpu_m for node in vnr.nodes),
+    )
+    revenue = from_milli(totals[0] + sum(link.bw_demand_m for link in vnr.links))
+    return order, demands, least, totals, revenue
+
+
+class RoutingScratch(_Scratch):
+    """The package's scratch with a try_place that maps every link, co-located or not."""
+
+    def try_place(self, vid, pid, hop_limit):
+        if not self.node_fits(vid, pid):
+            return False
+        routed = []
+        for other, link_idx in self.vnr.adjacency[vid].items():  # by link index
+            peer = self.placement.get(other)
+            if peer is None:
+                continue
+            bw_m = self.vnr.links[link_idx].bw_demand_m
+            # read at call time, so a test can watch these calls
+            path = local_embed.map_link(self.net, peer, pid, bw_m, hop_limit, self.reserved)
+            if path is None:
+                for idx, bw in routed:
+                    self.unreserve_path(idx, bw)
+                return False
+            self.reserve_path(link_idx, path, bw_m)
+            routed.append((link_idx, bw_m))
+        demand = self.vnr.nodes[vid].demand
+        used = self.node_usage.setdefault(pid, [0, 0, 0])
+        used[0] += demand.cpu_m
+        used[1] += demand.memory_m
+        used[2] += demand.gpu_m
+        self.placement[vid] = pid
+        return True
 
 
 def brute_force_feasible(net, vnr, injective=False):

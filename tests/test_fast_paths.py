@@ -7,20 +7,23 @@ that can, tries the two-hop detours through the endpoints' common
 neighbours when the walk had at most two hops, then the three-hop detours
 when it had at most three, and only then runs a breadth-first search that
 fills levels from both ends until they meet.
-`embed` reads a breadth-first walk
+`embed` lets a root with room for the whole request take all of it
+without a walk, reads a breadth-first walk
 that the network caches per root across calls, skips servers below the
 least remaining demand, and skips virtual nodes whose demand exceeds what
-is free on the inspected node before calling `try_place`.  Each request
-keeps its demand order, demand triples and least demand, and a finished
-placement is priced from the bandwidth x hops its reservations added up
-rather than by `cost_of` over its paths.  GRC builds its
+is free on the inspected node before calling `try_place`, which keeps a
+co-located link's one-node path without calling `map_link`.  Each request
+keeps its demand order, demand triples, least demand, totals and revenue,
+and a finished placement is priced from the bandwidth x hops its
+reservations added up rather than by `cost_of` over its paths.  GRC builds its
 transition matrices from edge arrays, ranks a run's requests in one
 stacked iteration per request size, orders nodes by a stable argsort, and
 reuses a substrate rank while the residuals it ranked are unchanged.
 bestfit picks from one fit mask over an array of what is free; firstfit and
 GRC probe only the servers that clear a request's least demand.  Each must
 give exactly what the whole next-hop table, the exhaustive path oracle,
-the one-sided search, the plain greedy loop, the loop-built rank, the
+the one-sided search, the plain greedy loop, the scratch that maps every
+link, the loop-built rank, the
 sorted-key order, the scanning choosers, the request-only demand memo and
 `cost_of`, `revenue_of` and `metric_of` give.  The generator draws each
 request's and each substrate's normals in one call and picks G(n, p) pairs
@@ -516,25 +519,60 @@ def _embed_and_keep(net, ledger, live, root, vnr, params):
     return outcome
 
 
-@settings(max_examples=300, deadline=None)
-@given(data=st.data())
-def test_embed_matches_the_plain_greedy_loop(data):
-    # several embeds on one network, so later ones read the walks earlier ones cached
-    net = data.draw(networks())
-    ledger = AllocationLedger()
-    live: list[int] = []
-    for rid in range(data.draw(st.integers(1, 6))):
-        vnr = data.draw(requests(request_id=rid))
-        params = LocalEmbedParams(
-            alpha=data.draw(st.sampled_from([0.5, 1.0, 2.0, 30.0])),
-            beta=data.draw(st.integers(0, 3)),
-            x=data.draw(st.sampled_from([1.0, 0.3, 2.5])),
-            y=data.draw(st.sampled_from([1.0, 0.7, 1e-3])),
-            path_hop_limit=data.draw(st.none() | st.integers(0, 6)),
-            injective=data.draw(st.booleans()),
-        )
-        root = data.draw(st.integers(0, net.num_nodes - 1))
-        _embed_and_keep(net, ledger, live, root, vnr, params)
+def _short_of(net, root, vnr):
+    """How many of cpu, memory and gpu the root has less of than the request's total."""
+    free = (net.cpu_free[root], net.memory_free[root], net.gpu_free[root])
+    demands = [(n.demand.cpu_m, n.demand.memory_m, n.demand.gpu_m) for n in vnr.nodes]
+    totals = [sum(column) for column in zip(*demands)]
+    return sum(total > room for total, room in zip(totals, free))
+
+
+def test_embed_matches_the_plain_greedy_loop():
+    counts = Counter()
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def check(data):
+        # several embeds on one network, so later ones read the walks earlier ones cached
+        net = data.draw(networks())
+        ledger = AllocationLedger()
+        live: list[int] = []
+        for rid in range(data.draw(st.integers(1, 6))):
+            # small demands now and then, so that a root often has room for all of them
+            light = data.draw(st.sampled_from([amounts, st.integers(0, 8)]))
+            vnr = data.draw(requests(request_id=rid, amount=light))
+            params = LocalEmbedParams(
+                alpha=data.draw(st.sampled_from([0.5, 1.0, 2.0, 30.0])),
+                beta=data.draw(st.integers(0, 3)),
+                x=data.draw(st.sampled_from([1.0, 0.3, 2.5])),
+                y=data.draw(st.sampled_from([1.0, 0.7, 1e-3])),
+                path_hop_limit=data.draw(st.none() | st.integers(0, 6)),
+                injective=data.draw(st.booleans()),
+            )
+            root = data.draw(st.integers(0, net.num_nodes - 1))
+            short = _short_of(net, root, vnr)
+            fresh = vnr.demand_order_memo is None  # the memo's build takes one least demand
+            with mock.patch.object(
+                local_embed, "_least_demand", wraps=local_embed._least_demand
+            ) as least:
+                outcome = _embed_and_keep(net, ledger, live, root, vnr, params)
+            counts["embeds"] += 1
+            counts["least recomputed"] += least.call_count > fresh
+            if params.injective:
+                counts["root has room, injective"] += short == 0
+            elif short == 0:
+                # the whole request on the root, found without a walk
+                assert outcome.feasible and outcome.inspected_count == 1
+                assert set(outcome.solution.node_mapping.values()) == {root}
+                counts["root takes all"] += 1
+            else:
+                counts[f"root short of {short}"] += 1
+
+    check()
+    assert counts["root takes all"] >= counts["embeds"] // 20, counts
+    assert counts["root has room, injective"], counts
+    assert counts["root short of 1"], counts
+    assert counts["least recomputed"], counts
 
 
 def test_a_failed_link_rolls_back_the_reservations_and_their_price():
@@ -562,6 +600,99 @@ def test_a_failed_link_rolls_back_the_reservations_and_their_price():
     # rolled back, with no zero entries left behind
     assert (scratch.weighted_m, scratch.reserved, scratch.paths) == before
     assert scratch.placement == {0: 0, 1: 1}
+
+
+def _colocating_case(rng):
+    """A substrate of 2-4 roomy servers on thin links, and a request of 3-6 densely linked nodes.
+
+    Drawn from one seed, as in `seeded_networks`, so sizes spread evenly.
+    Bandwidth demands include 0, and hop limits of 0-2 leave many links unroutable.
+    """
+    def resources(low, high):
+        return ResourceVector(*(rng.randint(low, high) for _ in range(3)))
+
+    n = rng.randint(2, 4)
+    pairs = [pair for pair in combinations(range(n), 2) if rng.random() < 0.7]
+    net = PhysicalNetwork(
+        [PhysicalNode(i, resources(10, 30)) for i in range(n)],
+        [PhysicalLink(u, v, 30.0) for u, v in pairs],
+        bw_free=[1000 * rng.randint(0, 10) for _ in pairs],
+    )
+    k = rng.randint(3, 6)
+    vnr = Vnr(
+        0,
+        [VirtualNode(i, resources(0, 6)) for i in range(k)],
+        [
+            VirtualLink(u, v, float(rng.randint(0, 10)))
+            for u, v in combinations(range(k), 2)
+            if rng.random() < 0.75
+        ],
+    )
+    return net, vnr
+
+
+def test_try_place_matches_the_scratch_that_routes_every_link():
+    counts = Counter()
+
+    @settings(max_examples=300, deadline=None)
+    @given(seed=st.integers(min_value=0, max_value=2**32 - 1))
+    def check(seed):
+        rng = random.Random(seed)
+        net, vnr = _colocating_case(rng)
+        injective = rng.random() < 0.25
+        hop_limit = rng.randint(0, 2)
+        fast = _Scratch(net, vnr, injective)
+        slow = oracles.RoutingScratch(net, vnr, injective)
+        for _ in range(rng.randint(1, 8)):
+            unplaced = [vid for vid in range(vnr.num_nodes) if vid not in fast.placement]
+            if not unplaced:
+                break
+            vid = rng.choice(unplaced)
+            # with placed peers on two servers or more, mostly the first peer's:
+            # its link is then routed first, co-located, and a later one may fail
+            hosts = [fast.placement[peer] for peer in vnr.adjacency[vid] if peer in fast.placement]
+            if len(set(hosts)) > 1 and rng.random() < 0.9:
+                pid = hosts[0]
+            else:
+                pid = rng.randrange(net.num_nodes)
+            routes = []  # (co-located, no path) for each link the oracle maps
+
+            def spy(net, src, dst, *rest):
+                path = map_link(net, src, dst, *rest)
+                routes.append((src == dst, path is None))
+                return path
+
+            with mock.patch.object(local_embed, "map_link", spy):
+                want = slow.try_place(vid, pid, hop_limit)
+            assert fast.try_place(vid, pid, hop_limit) == want
+            for name in ("placement", "paths", "reserved", "weighted_m", "node_usage"):
+                assert getattr(fast, name) == getattr(slow, name), name
+            counts["calls"] += 1
+            counts["co-located link"] += any(co for co, _ in routes)
+            counts["rolled back a co-located link"] += bool(routes) and routes[-1][1] and any(
+                co for co, _ in routes[:-1]
+            )
+
+    check()
+    assert counts["co-located link"] >= counts["calls"] // 20, counts
+    assert counts["rolled back a co-located link"] >= counts["calls"] // 20, counts
+
+
+def test_a_rollback_survives_a_zero_bandwidth_link_on_a_shared_hop():
+    # 0-1 wide, 1-2 too thin for the 5-unit link 2-3
+    net = PhysicalNetwork(
+        [PhysicalNode(i, ResourceVector(50, 50, 50)) for i in range(3)],
+        [PhysicalLink(0, 1, 10.0), PhysicalLink(1, 2, 1.0)],
+    )
+    links = [VirtualLink(0, 2, 5.0), VirtualLink(1, 2, 0.0), VirtualLink(2, 3, 5.0)]
+    vnr = Vnr(0, [VirtualNode(i, ResourceVector(1, 1, 1)) for i in range(4)], links)
+    scratch = _Scratch(net, vnr, injective=False)
+    assert scratch.try_place(0, 0, 6) and scratch.try_place(1, 0, 6) and scratch.try_place(3, 2, 6)
+    # links 0 and 1 both take hop 0-1 before link 2 fails; taking back link 0
+    # empties that hop's entry, and link 1, which carries 0, finds none
+    assert not scratch.try_place(2, 1, 6)
+    assert (scratch.reserved, scratch.paths, scratch.weighted_m) == ({}, {}, 0)
+    assert scratch.placement == {0: 0, 1: 0, 3: 2}
 
 
 def test_cached_walks_serve_every_root_and_depth_across_calls():
