@@ -12,7 +12,6 @@ __version__ = "0.1.0"
 from .baselines import ConvergenceError, GrcParams, best_fit, first_fit, grc_embed, grc_rank
 from .embedding import (
     AllocationError,
-    AllocationLedger,
     EmbeddingSolution,
     LedgerError,
     allocate,

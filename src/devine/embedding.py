@@ -7,7 +7,8 @@ of its mapped path, so co-located endpoints contribute nothing.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from itertools import pairwise
 
 from .model import PhysicalNetwork, Vnr, from_milli
 
@@ -78,26 +79,40 @@ def verify_solution(
     Checks run in a fixed order and report the first breach: mapping totality,
     aggregated node capacities, path validity, aggregated link capacities.
     """
-    mapping = solution.node_mapping
-    for vid in range(vnr.num_nodes):
+    found = _tally(net, vnr, solution, injective)
+    return found if isinstance(found, Violation) else None
+
+
+@dataclass
+class LedgerEntry:
+    """Exact deltas applied for one request, for later reversal."""
+
+    node_deltas: dict[int, tuple[int, int, int]]  # physical node id -> (cpu, memory, gpu)
+    link_deltas: dict[int, int]  # link index -> bandwidth
+
+
+def _tally(
+    net: PhysicalNetwork, vnr: Vnr, solution: EmbeddingSolution, injective: bool
+) -> Violation | LedgerEntry:
+    """verify_solution's checks; when all pass, the per-server and per-link loads."""
+    mapping, num_vnodes, n = solution.node_mapping, vnr.num_nodes, net.num_nodes
+    for vid in range(num_vnodes):
         pid = mapping.get(vid)
         if pid is None:
             return Violation("node-mapping", f"virtual node {vid} is unmapped")
-        if not 0 <= pid < net.num_nodes:
+        if not 0 <= pid < n:
             return Violation("node-mapping", f"virtual node {vid} maps to unknown node {pid}")
     for vid in mapping:
-        if not 0 <= vid < vnr.num_nodes:
+        if not 0 <= vid < num_vnodes:
             return Violation("node-mapping", f"mapping names unknown virtual node {vid}")
-    if injective and len(set(mapping.values())) != vnr.num_nodes:
+    if injective and len(set(mapping.values())) != num_vnodes:
         return Violation("node-mapping", "node mapping is not one-to-one")
 
-    node_load: dict[int, list[int]] = {}
-    for vid in range(vnr.num_nodes):
-        demand = vnr.nodes[vid].demand
-        load = node_load.setdefault(mapping[vid], [0, 0, 0])
-        load[0] += demand.cpu_m
-        load[1] += demand.memory_m
-        load[2] += demand.gpu_m
+    node_load: dict[int, tuple[int, int, int]] = {}
+    for vid, node in enumerate(vnr.nodes):
+        demand, pid = node.demand, mapping[vid]
+        cpu_m, memory_m, gpu_m = node_load.get(pid, (0, 0, 0))
+        node_load[pid] = (cpu_m + demand.cpu_m, memory_m + demand.memory_m, gpu_m + demand.gpu_m)
     cpu_free, memory_free, gpu_free = net.cpu_free, net.memory_free, net.gpu_free
     for pid in sorted(node_load):
         cpu_m, memory_m, gpu_m = node_load[pid]
@@ -105,23 +120,25 @@ def verify_solution(
             return Violation("node-capacity", f"aggregate demand exceeds residual on node {pid}")
 
     link_load: dict[int, int] = {}
+    paths, adjacency = solution.path_mapping, net.adjacency
     for idx, vlink in enumerate(vnr.links):
-        path = solution.path_mapping.get(idx)
+        path = paths.get(idx)
         if path is None:
             return Violation("path", f"virtual link {idx} has no path")
         if len(path) < 1:
             return Violation("path", f"virtual link {idx} has an empty path")
-        if len(set(path)) != len(path):
-            return Violation("path", f"path for virtual link {idx} repeats a node")
-        ends = {mapping[vlink.u], mapping[vlink.v]}
-        if len(path) == 1:
-            if ends != {path[0]}:
+        ends = mapping[vlink.u], mapping[vlink.v]
+        if len(path) == 1:  # cannot repeat a node
+            if ends != (path[0], path[0]):
                 return Violation("path", f"single-node path for link {idx} misses its endpoints")
             continue
-        if {path[0], path[-1]} != ends:
+        if len(set(path)) != len(path):
+            return Violation("path", f"path for virtual link {idx} repeats a node")
+        if (path[0], path[-1]) != ends and (path[-1], path[0]) != ends:
             return Violation("path", f"path for virtual link {idx} misses its endpoints")
-        for a, b in zip(path, path[1:]):
-            link_idx = net.link_index(a, b) if 0 <= a < net.num_nodes and 0 <= b < net.num_nodes else None
+        # path[0] is a mapped server and each later node a neighbour found before it: all in range
+        for a, b in pairwise(path):
+            link_idx = adjacency[a].get(b)
             if link_idx is None:
                 return Violation("path", f"path for virtual link {idx} uses missing link ({a}, {b})")
             link_load[link_idx] = link_load.get(link_idx, 0) + vlink.bw_demand_m
@@ -132,54 +149,14 @@ def verify_solution(
                 "link-capacity",
                 f"aggregate bandwidth exceeds residual on link ({link.u}, {link.v})",
             )
-    return None
-
-
-@dataclass
-class LedgerEntry:
-    """Exact deltas applied for one request, for later reversal."""
-
-    node_deltas: dict[int, tuple[int, int, int]] = field(default_factory=dict)
-    link_deltas: dict[int, int] = field(default_factory=dict)
-
-
-class AllocationLedger:
-    """Per-request record of applied deltas so releases are exact."""
-
-    def __init__(self):
-        self.entries: dict[int, LedgerEntry] = {}
-
-    def __contains__(self, request_id: int) -> bool:
-        return request_id in self.entries
-
-    def live_requests(self) -> list[int]:
-        return sorted(self.entries)
-
-
-def _solution_deltas(vnr: Vnr, solution: EmbeddingSolution, net: PhysicalNetwork) -> LedgerEntry:
-    entry = LedgerEntry()
-    for vid in range(vnr.num_nodes):
-        demand = vnr.nodes[vid].demand
-        pid = solution.node_mapping[vid]
-        cpu_m, memory_m, gpu_m = entry.node_deltas.get(pid, (0, 0, 0))
-        entry.node_deltas[pid] = (
-            cpu_m + demand.cpu_m,
-            memory_m + demand.memory_m,
-            gpu_m + demand.gpu_m,
-        )
-    for idx, vlink in enumerate(vnr.links):
-        path = solution.path_mapping[idx]
-        for a, b in zip(path, path[1:]):
-            link_idx = net.link_index(a, b)
-            entry.link_deltas[link_idx] = entry.link_deltas.get(link_idx, 0) + vlink.bw_demand_m
-    return entry
+    return LedgerEntry(node_load, link_load)
 
 
 def allocate(
     net: PhysicalNetwork,
     vnr: Vnr,
     solution: EmbeddingSolution,
-    ledger: AllocationLedger,
+    ledger: dict[int, LedgerEntry],
     injective: bool = False,
 ) -> None:
     """Apply the solution's deltas to residuals and record them in the ledger."""
@@ -188,49 +165,51 @@ def allocate(
     violation = verify_solution(net, vnr, solution, injective=injective)
     if violation is not None:
         raise AllocationError(str(violation))
-    entry = _solution_deltas(vnr, solution, net)
+    # tallied again: verify_solution stays a module-global call so its time can be traced apart
+    entry = _tally(net, vnr, solution, injective)
     for pid, (cpu_m, memory_m, gpu_m) in entry.node_deltas.items():
         net.cpu_free[pid] -= cpu_m
         net.memory_free[pid] -= memory_m
         net.gpu_free[pid] -= gpu_m
     for link_idx, bw_m in entry.link_deltas.items():
         net.bw_free[link_idx] -= bw_m
-    ledger.entries[vnr.request_id] = entry
+    ledger[vnr.request_id] = entry
 
 
-def release(net: PhysicalNetwork, request_id: int, ledger: AllocationLedger) -> None:
-    """Return a request's deltas to the residuals; exact inverse of allocate."""
-    entry = ledger.entries.pop(request_id, None)
+def release(net: PhysicalNetwork, request_id: int, ledger: dict[int, LedgerEntry]) -> None:
+    """Exact inverse of allocate; checks every server and link before it writes any."""
+    entry = ledger.get(request_id)
     if entry is None:
         raise LedgerError(f"request {request_id} is not in the ledger")
     for pid, (cpu_m, memory_m, gpu_m) in entry.node_deltas.items():
         cap = net.nodes[pid].capacity
-        cpu_m += net.cpu_free[pid]
-        memory_m += net.memory_free[pid]
-        gpu_m += net.gpu_free[pid]
-        if cpu_m > cap.cpu_m or memory_m > cap.memory_m or gpu_m > cap.gpu_m:
+        if (
+            cpu_m + net.cpu_free[pid] > cap.cpu_m
+            or memory_m + net.memory_free[pid] > cap.memory_m
+            or gpu_m + net.gpu_free[pid] > cap.gpu_m
+        ):
             raise LedgerError(f"release would exceed capacity on node {pid}")
-        net.cpu_free[pid] = cpu_m
-        net.memory_free[pid] = memory_m
-        net.gpu_free[pid] = gpu_m
+    for link_idx, bw_m in entry.link_deltas.items():
+        link = net.links[link_idx]
+        if bw_m + net.bw_free[link_idx] > link.bw_capacity_m:
+            raise LedgerError(f"release would exceed capacity on link ({link.u}, {link.v})")
+    del ledger[request_id]
+    for pid, (cpu_m, memory_m, gpu_m) in entry.node_deltas.items():
+        net.cpu_free[pid] += cpu_m
+        net.memory_free[pid] += memory_m
+        net.gpu_free[pid] += gpu_m
     for link_idx, bw_m in entry.link_deltas.items():
         net.bw_free[link_idx] += bw_m
-        link = net.links[link_idx]
-        if net.bw_free[link_idx] > link.bw_capacity_m:
-            raise LedgerError(f"release would exceed capacity on link ({link.u}, {link.v})")
 
 
-def conservation_violations(net: PhysicalNetwork, ledger: AllocationLedger) -> list[str]:
+def conservation_violations(net: PhysicalNetwork, ledger: dict[int, LedgerEntry]) -> list[str]:
     """Residuals that disagree with capacity minus outstanding ledger deltas."""
     problems: list[str] = []
     node_out: dict[int, list[int]] = {}
     link_out: dict[int, int] = {}
-    for entry in ledger.entries.values():
-        for pid, (cpu_m, memory_m, gpu_m) in entry.node_deltas.items():
-            acc = node_out.setdefault(pid, [0, 0, 0])
-            acc[0] += cpu_m
-            acc[1] += memory_m
-            acc[2] += gpu_m
+    for entry in ledger.values():
+        for pid, deltas in entry.node_deltas.items():
+            node_out[pid] = [held + d for held, d in zip(node_out.get(pid, (0, 0, 0)), deltas)]
         for link_idx, bw_m in entry.link_deltas.items():
             link_out[link_idx] = link_out.get(link_idx, 0) + bw_m
     for pid, node in enumerate(net.nodes):

@@ -20,7 +20,7 @@ from .baselines import GrcParams, best_fit, first_fit, grc_embed, vnr_orders
 # verify_solution is imported only so benchmarks/layers.py can wrap it here
 from .embedding import (
     AllocationError,
-    AllocationLedger,
+    LedgerEntry,
     allocate,
     conservation_violations,
     release,
@@ -212,7 +212,7 @@ def run_simulation(cfg: SimConfig) -> SimulationResult:
     net = generate_physical_network(cfg.generator, stream(cfg.seed, "topology"))
     workload = build_workload(cfg.generator, cfg.duration, cfg.seed)
     leader_rng = stream(cfg.seed, "leaders")
-    ledger = AllocationLedger()
+    ledger: dict[int, LedgerEntry] = {}
     # grc ranks every request once, up front: a request's rank ignores the substrate
     orders = vnr_orders([vnr for _, vnr, _ in workload], cfg.grc) if cfg.algorithm == "grc" else {}
 
@@ -340,7 +340,7 @@ def run_simulation(cfg: SimConfig) -> SimulationResult:
 
     # wind down: everything still embedded leaves, and the substrate must
     # return to its exact initial capacities
-    for request_id in ledger.live_requests():
+    for request_id in sorted(ledger):
         release(net, request_id, ledger)
     problems = conservation_violations(net, ledger)  # the ledger is empty now
     if problems:

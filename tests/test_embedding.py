@@ -1,3 +1,5 @@
+import copy
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,7 +7,6 @@ from hypothesis import strategies as st
 
 from devine import (
     AllocationError,
-    AllocationLedger,
     EmbeddingSolution,
     GeneratorConfig,
     LedgerError,
@@ -139,6 +140,20 @@ def test_verify_reports_violations_in_fixed_order():
     saturated = _solution(thirsty, {0: 0, 1: 1}, {0: (0, 1)})
     assert verify_solution(net, thirsty, saturated).kind == "link-capacity"
 
+    # node capacity outranks a broken path, and a broken path outranks link capacity
+    overfull_and_lost = _solution(heavy, {0: 0, 1: 0}, {0: (1,)})
+    assert verify_solution(net, heavy, overfull_and_lost).kind == "node-capacity"
+    trio = Vnr(
+        0,
+        [VirtualNode(i, ResourceVector(1.0, 1.0, 1.0)) for i in range(3)],
+        [VirtualLink(0, 1, 200.0), VirtualLink(1, 2, 5.0)],
+        0.0,
+        10.0,
+    )
+    # link 0 saturates (0, 1) before link 1's path misses its endpoints
+    saturated_and_lost = _solution(trio, {0: 0, 1: 1, 2: 2}, {0: (0, 1), 1: (1, 3)})
+    assert verify_solution(net, trio, saturated_and_lost).kind == "path"
+
 
 def test_verify_aggregates_demand_sharing_a_node_and_a_link():
     net = _line_net(cpu=100.0, bw=100.0)
@@ -164,7 +179,7 @@ def test_injective_mode_rejects_reused_servers():
 def test_allocate_release_round_trip_is_exact():
     net = _line_net()
     before = residual_snapshot(net)
-    ledger = AllocationLedger()
+    ledger = {}
     vnr = _pair_vnr()
     sol = _solution(vnr, {0: 0, 1: 2}, {0: (0, 1, 2)})
     allocate(net, vnr, sol, ledger)
@@ -172,21 +187,23 @@ def test_allocate_release_round_trip_is_exact():
     assert net.cpu_free[2] == 80000
     assert net.bw_free[0] == 95000
     assert conservation_violations(net, ledger) == []
-    assert ledger.live_requests() == [0]
+    assert sorted(ledger) == [0]
     release(net, 0, ledger)
     assert residual_snapshot(net) == before
-    assert ledger.entries == {}
+    assert ledger == {}
     assert conservation_violations(net, ledger) == []
 
 
 def test_allocate_guards():
     net = _line_net()
-    ledger = AllocationLedger()
+    ledger = {}
     vnr = _pair_vnr()
     sol = _solution(vnr, {0: 0, 1: 1}, {0: (0, 1)})
     allocate(net, vnr, sol, ledger)
+    before, entries = residual_snapshot(net), copy.deepcopy(ledger)
     with pytest.raises(LedgerError):
         allocate(net, vnr, sol, ledger)
+    assert residual_snapshot(net) == before and ledger == entries
     with pytest.raises(LedgerError):
         release(net, 99, ledger)
     hungry = _pair_vnr(request_id=1, cpu=(95.0, 10.0))
@@ -194,27 +211,33 @@ def test_allocate_guards():
     with pytest.raises(AllocationError):
         allocate(net, hungry, bad, ledger)
     # the failed allocate must not have touched anything
+    assert residual_snapshot(net) == before and ledger == entries
     assert conservation_violations(net, ledger) == []
 
 
 def test_release_refuses_to_lift_a_residual_above_capacity():
     net = _line_net()
-    ledger = AllocationLedger()
+    ledger = {}
     for rid in (0, 1):
         vnr = _pair_vnr(request_id=rid)
         allocate(net, vnr, _solution(vnr, {0: 0, 1: 1}, {0: (0, 1)}), ledger)
     net.gpu_free[1] = net.nodes[1].capacity.gpu_m  # freed behind the ledger's back
+    before, entries = residual_snapshot(net), copy.deepcopy(ledger)
     with pytest.raises(LedgerError, match="node 1"):
         release(net, 0, ledger)
-    net.gpu_free[1] -= 1000  # as if request 0 had left: 1.0 gpu of request 1 stays
+    # a refused release writes nothing: node 0 stays loaded and request 0 stays booked
+    assert residual_snapshot(net) == before and ledger == entries
+    net.gpu_free[1] -= 1000  # node 1 now has room for request 1's 1.0 gpu
     net.bw_free[0] = net.links[0].bw_capacity_m
+    before = residual_snapshot(net)
     with pytest.raises(LedgerError, match=r"link \(0, 1\)"):
         release(net, 1, ledger)
+    assert residual_snapshot(net) == before and ledger == entries
 
 
 def test_conservation_flags_a_residual_the_ledger_does_not_explain():
     net = _line_net()
-    ledger = AllocationLedger()
+    ledger = {}
     vnr = _pair_vnr()
     allocate(net, vnr, _solution(vnr, {0: 0, 1: 2}, {0: (0, 1, 2)}), ledger)
     assert conservation_violations(net, ledger) == []
@@ -244,7 +267,7 @@ def test_conservation_replay_against_independent_accounting():
     # replay 50 interleaved allocates and releases, tracking expected residuals
     # straight from the request definitions rather than through the ledger
     net = _line_net(n=6, cpu=500.0, bw=500.0)
-    ledger = AllocationLedger()
+    ledger = {}
     rng = np.random.default_rng(77)
     expected_cpu = {i: net.nodes[i].capacity.cpu_m for i in range(6)}
     expected_bw = {i: net.links[i].bw_capacity_m for i in range(5)}
@@ -305,7 +328,7 @@ def test_release_gives_back_exactly_what_allocate_took(seed, steps):
     net = generate_physical_network(TIGHT, stream(seed, "topology"))
     initial = _residuals(net)
     draws = stream(seed, "vnr")
-    ledger = AllocationLedger()
+    ledger = {}
     taken: dict[int, list[int]] = {}  # request id -> what its allocate took
     for request_id, step in enumerate(steps):
         before = _residuals(net)

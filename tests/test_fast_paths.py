@@ -46,7 +46,6 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from devine import (
-    AllocationLedger,
     ConvergenceError,
     GenerationError,
     GeneratorConfig,
@@ -535,7 +534,7 @@ def test_embed_matches_the_plain_greedy_loop():
     def check(data):
         # several embeds on one network, so later ones read the walks earlier ones cached
         net = data.draw(networks())
-        ledger = AllocationLedger()
+        ledger = {}
         live: list[int] = []
         for rid in range(data.draw(st.integers(1, 6))):
             # small demands now and then, so that a root often has room for all of them
@@ -721,7 +720,7 @@ def test_cached_walks_serve_every_root_and_depth_across_calls():
         lambda rid: Vnr(rid, [VirtualNode(0, ResourceVector(0, 0, 0))], []),
         lambda rid: Vnr(rid, [VirtualNode(0, ResourceVector(8, 10, 10))], []),
     ]
-    ledger = AllocationLedger()
+    ledger = {}
     live: list[int] = []
     paths = set()
     rid = 0
@@ -773,7 +772,7 @@ def test_best_fit_matches_the_scanning_chooser(data):
     # several requests on one network, allocating and releasing between them,
     # so each call reads residuals that earlier ones moved
     net = data.draw(crowded_networks())
-    ledger = AllocationLedger()
+    ledger = {}
     live: list[int] = []
     for rid in range(data.draw(st.integers(1, 6))):
         vnr = data.draw(requests(request_id=rid, amount=st.sampled_from((0, 0, 5, 10))))
@@ -849,7 +848,7 @@ def test_first_fitting_matches_the_unfiltered_chooser():
         # several requests on one network, allocating and releasing between
         # them, so later requests read residuals that earlier ones moved
         net = data.draw(drained_networks())
-        ledger = AllocationLedger()
+        ledger = {}
         live: list[int] = []
         for rid in range(data.draw(st.integers(1, 6))):
             vnr = data.draw(requests(request_id=rid, amount=st.sampled_from((0, 5, 10))))

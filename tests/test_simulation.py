@@ -297,7 +297,7 @@ def test_leaky_release_breaks_conservation(monkeypatch):
     # a release that forgets the ledger entry but keeps its resources held
     # leaves residuals below capacity once every request has left
     def leaky_release(net, request_id, ledger):
-        ledger.entries.pop(request_id)
+        ledger.pop(request_id)
 
     monkeypatch.setattr(simulation, "release", leaky_release)
     with pytest.raises(SimulationError, match="conservation broken"):
