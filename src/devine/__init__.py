@@ -51,13 +51,8 @@ from .model import (
 )
 from .protocol import (
     ElectionParams,
-    EmbeddedMsg,
-    EmbeddingMsg,
     LeaderRing,
-    LeaderState,
     ProtocolError,
-    handle_embedded,
-    handle_embedding,
     run_election,
     select_leaders,
 )

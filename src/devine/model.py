@@ -181,9 +181,6 @@ class PhysicalNetwork:
         """Neighbor ids in ascending order."""
         return self._neighbors[node_id]
 
-    def link_index(self, u: int, v: int) -> int | None:
-        return self.adjacency[u].get(v)
-
     def next_hops(self, dst: int, src: int) -> list[int]:
         """Capacity-blind shortest-path steps towards dst, grown until entry src is set.
 

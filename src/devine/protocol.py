@@ -1,12 +1,14 @@
 """Leader ring election over candidate local embeddings.
 
-The primary node draws a ring of candidate leaders, computes its own local
-embedding, and sends a proposal around the ring.  Each leader forwards a
-proposal that beats its own and overwrites one that does not; a leader that
-receives its own proposal back has won and circulates the final solution.
-Ties cannot livelock: proposals are ordered by (metric, -node id), so equal
-metrics resolve toward the lowest node id.  A leader passes on at most one
-message per delivery, so one message is in flight at a time.
+The primary node draws a ring of candidate leaders, and every leader computes
+its own local embedding.  In the protocol (Chang & Roberts' extrema-finding
+ring) a proposal travels the ring: each leader forwards one that beats its own
+and overwrites one that does not, and a leader that receives its own proposal
+back has won and circulates the final solution.  Proposals are ordered by
+(metric, -node id), so equal metrics resolve toward the lowest node id.  The
+ring here never loses, delays or reorders a message, so every delivery is a
+function of the running best proposal in ring order, and the election is one
+pass over the ring that records the messages the protocol would deliver.
 """
 
 from __future__ import annotations
@@ -19,13 +21,13 @@ from typing import Callable
 import numpy as np
 
 # allocate and verify_solution stay importable for benchmarks/layers.py
-from .embedding import EmbeddingSolution, allocate, verify_solution
+from .embedding import allocate, verify_solution
 from .local_embed import INFEASIBLE, LocalEmbedOutcome, LocalEmbedParams, embed
 from .model import PhysicalNetwork, Vnr
 
 
 class ProtocolError(RuntimeError):
-    """Raised when an election cannot run or halts before completion."""
+    """Raised when an election cannot run."""
 
 
 @dataclass(frozen=True)
@@ -56,43 +58,12 @@ class LeaderRing:
     def primary(self) -> int:
         return self.members[0]
 
-    def successor(self, node_id: int) -> int:
-        pos = self.members.index(node_id)
-        return self.members[(pos + 1) % len(self.members)]
 
-
-@dataclass(frozen=True)
-class EmbeddingMsg:
-    """Circulating proposal: who claims the best embedding so far."""
-
-    originator: int
-    metric: float  # -inf when the originator found no feasible embedding
-
-    def key(self) -> tuple[float, int]:
-        # a NaN metric (x * revenue - y * cost overflowed) ranks as infeasible,
-        # since it would break the total order the ring relies on
-        metric = INFEASIBLE if math.isnan(self.metric) else self.metric
-        return (metric, -self.originator)
-
-
-@dataclass(frozen=True)
-class EmbeddedMsg:
-    """Final announcement: the winner and its solution (None if infeasible)."""
-
-    winner: int
-    solution: EmbeddingSolution | None
-
-
-@dataclass(frozen=True)
-class LeaderState:
-    """One leader's view of a single election: its own local embedding."""
-
-    node_id: int
-    outcome: LocalEmbedOutcome
-
-    def proposal(self) -> EmbeddingMsg:
-        """This leader's own claim, built from its local embedding."""
-        return EmbeddingMsg(self.node_id, self.outcome.metric())
+def _key(node_id: int, metric: float) -> tuple[float, int]:
+    """A proposal's rank: higher metric first, equal metrics toward the lower id."""
+    # a NaN metric (x * revenue - y * cost overflowed) ranks as infeasible,
+    # since it would break the total order the ring relies on
+    return (INFEASIBLE if math.isnan(metric) else metric, -node_id)
 
 
 @dataclass
@@ -117,39 +88,22 @@ class ElectionTrace:
         self.embedding_count = 0
         self.embedded_count = 0
 
-    def record_message(self, sender: int, receiver: int, msg) -> None:
-        if isinstance(msg, EmbeddingMsg):
-            kind, subject, metric = "EMBEDDING", msg.originator, msg.metric
+    def record(
+        self, kind: str, sender: int, receiver: int, subject: int, metric: float | None
+    ) -> None:
+        if kind == "EMBEDDING":
             self.embedding_count += 1
         else:
-            kind = "EMBEDDED"
-            subject = msg.winner
-            metric = msg.solution.metric if msg.solution is not None else None
             self.embedded_count += 1
-        if metric == INFEASIBLE:
-            metric = None
-        self.events.append(
-            TraceEvent(len(self.events), self.request_id, kind, sender, receiver, subject, metric)
-        )
+        self.events.append(TraceEvent(
+            len(self.events), self.request_id, kind, sender, receiver, subject,
+            None if metric == INFEASIBLE else metric,
+        ))
 
     def to_jsonl(self) -> str:
         return "\n".join(
             json.dumps(asdict(e), sort_keys=True, allow_nan=False) for e in self.events
         )
-
-
-def handle_embedding(state: LeaderState, msg: EmbeddingMsg) -> EmbeddingMsg | EmbeddedMsg:
-    """React to a circulating proposal; returns the message passed on."""
-    if msg.originator == state.node_id:
-        # own proposal survived the full circle: announce the result
-        return EmbeddedMsg(state.node_id, state.outcome.solution)
-    own = state.proposal()
-    return msg if msg.key() > own.key() else own
-
-
-def handle_embedded(state: LeaderState, msg: EmbeddedMsg) -> EmbeddedMsg | None:
-    """React to the final announcement; the winner absorbs it, others forward."""
-    return None if msg.winner == state.node_id else msg
 
 
 def select_leaders(
@@ -203,29 +157,28 @@ def run_election(
         def embedder(nid: int) -> LocalEmbedOutcome:
             return embed(nid, net, vnr, params)
 
-    states = {nid: LeaderState(nid, embedder(nid)) for nid in ring.members}
+    members, size = ring.members, len(ring.members)
+    outcomes, carried = [], []  # carried[i]: ring position of the best of members[:i + 1]
+    for pos, nid in enumerate(members):
+        outcomes.append(embedder(nid))
+        key = _key(nid, outcomes[pos].metric())
+        if pos == 0 or key > best_key:
+            best, best_key = pos, key
+        carried.append(best)
+
     trace = ElectionTrace(vnr.request_id)
-    winner = primary
-
-    if len(ring.members) > 1:
-        # a correct ring delivers at most 2L-1 EMBEDDING and L EMBEDDED messages
-        max_deliveries = 3 * len(ring.members) - 1
-        sender, msg = primary, states[primary].proposal()
-        while msg is not None:
-            receiver = ring.successor(sender)
-            trace.record_message(sender, receiver, msg)
-            if len(trace.events) > max_deliveries:
-                raise ProtocolError(
-                    f"election for request {vnr.request_id} exceeded {max_deliveries} deliveries"
-                )
-            if isinstance(msg, EmbeddingMsg):
-                msg = handle_embedding(states[receiver], msg)
-            else:
-                winner = msg.winner
-                msg = handle_embedded(states[receiver], msg)
-            sender = receiver
-        # the announcement halts at the winner once it has reached every leader
-        if trace.embedded_count != len(ring.members):
-            raise ProtocolError(f"election for request {vnr.request_id} halted early")
-
-    return ElectionResult(states[winner].outcome, trace, winner, ring)
+    if size > 1:
+        # hop i runs from members[i % L] to members[(i + 1) % L] carrying the
+        # best proposal of the leaders it has passed; the winner's proposal
+        # leaves it on hop `best` and is home L hops later, then the winner's
+        # announcement circles the ring once
+        for i in range(best + size):
+            src = carried[min(i, size - 1)]
+            trace.record("EMBEDDING", members[i % size], members[(i + 1) % size],
+                         members[src], outcomes[src].metric())
+        solution = outcomes[best].solution
+        metric = solution.metric if solution is not None else None
+        for i in range(best, best + size):
+            trace.record("EMBEDDED", members[i % size], members[(i + 1) % size],
+                         members[best], metric)
+    return ElectionResult(outcomes[best], trace, members[best], ring)

@@ -23,16 +23,21 @@ value, node pairs built as tuples by `itertools.combinations`, and
 connectivity tested by `connected`, a breadth-first search over neighbor
 sets in place of the bitmask search.  `build_workload` draws each primary
 with its own scalar call, where the package draws them all in one.
+`message_election` is the message-passing ring that the one-pass election
+replaced: each leader reacts to the message it receives, delivery by
+delivery, and the trace logs what was delivered.
 """
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from itertools import combinations, product
 
 import numpy as np
 
 from devine import (
+    INFEASIBLE,
     ConvergenceError,
     GenerationError,
     LocalEmbedParams,
@@ -50,6 +55,7 @@ from devine import (
 )
 from devine.baselines import _greedy_by_choice
 from devine.local_embed import _Scratch
+from devine.protocol import ElectionTrace, TraceEvent
 
 
 def simple_paths(net, src, dst, bw_demand_m, reserved=None, max_hops=None):
@@ -355,6 +361,51 @@ def build_workload(cfg, duration, seed):
             return workload
         vnr = generate_vnr(cfg, len(workload), now, vnr_rng)
         workload.append((now, vnr, int(primary_rng.integers(cfg.server_count))))
+
+
+def message_election(ring, outcomes, request_id):
+    """Chang & Roberts' ring over fixed local embeddings: (winner, its outcome, trace).
+
+    `outcomes` maps each leader to its LocalEmbedOutcome.  A message is
+    (kind, subject, metric); proposals rank by (metric, -originator), with NaN
+    ranking as infeasible.  A leader forwards a proposal that beats its own and
+    replaces one that does not; the originator of a returning proposal
+    announces its solution, and the announcement stops when it is back at the
+    winner.
+    """
+    def rank(node, metric):
+        return (INFEASIBLE if math.isnan(metric) else metric, -node)
+
+    members = ring.members
+    successor = {node: members[(i + 1) % len(members)] for i, node in enumerate(members)}
+    trace = ElectionTrace(request_id)
+    winner = ring.primary
+    if len(members) == 1:
+        return winner, outcomes[winner], trace
+    sender, msg = ring.primary, ("EMBEDDING", ring.primary, outcomes[ring.primary].metric())
+    while msg is not None:
+        assert len(trace.events) < 3 * len(members), "the ring did not stop"
+        receiver = successor[sender]
+        kind, subject, metric = msg
+        trace.events.append(TraceEvent(
+            len(trace.events), request_id, kind, sender, receiver, subject,
+            None if metric == INFEASIBLE else metric,
+        ))
+        if kind == "EMBEDDING":
+            trace.embedding_count += 1
+            own = outcomes[receiver]
+            if subject == receiver:
+                solution = own.solution
+                msg = ("EMBEDDED", receiver, None if solution is None else solution.metric)
+            elif rank(receiver, own.metric()) > rank(subject, metric):
+                msg = ("EMBEDDING", receiver, own.metric())
+        else:
+            trace.embedded_count += 1
+            winner = subject
+            if receiver == subject:
+                msg = None
+        sender = receiver
+    return winner, outcomes[winner], trace
 
 
 def residual_snapshot(net):

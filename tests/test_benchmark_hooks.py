@@ -37,20 +37,28 @@ def test_every_traced_target_resolves():
 def test_traced_run_records_a_dispatch_span_per_algorithm():
     layers = _layers()
     tracer = layers.Tracer()
+    summaries = {}
     with layers.installed(tracer):
         for algorithm in ALGORITHMS:
             tracer.algorithm = algorithm
-            run_simulation(SimConfig(
+            summaries[algorithm] = run_simulation(SimConfig(
                 generator=GeneratorConfig(server_count=10, link_probability=0.5),
                 algorithm=algorithm,
                 duration=10.0,
                 seed=1,
-            ))
+            )).summary
     for algorithm in ALGORITHMS:
         dispatch = "protocol.election" if algorithm == "devine" else "baselines.embed"
         assert tracer.stats(algorithm, dispatch).durations, algorithm
         assert tracer.stats(algorithm, "embedding.verify").calls, algorithm
         assert tracer.stats(algorithm, "local_embed.map_link").calls, algorithm
+    # each election embeds every leader once, through the module global
+    election = tracer.stats("devine", "protocol.election")
+    leaders = SimConfig().election.leaders
+    assert tracer.stats("devine", "local_embed.embed").calls == leaders * election.calls > 0
+    # the span's message count is the trace's, as the run reports it
+    devine = summaries["devine"]
+    assert election.counts["messages"] == devine["embedding_messages"] + devine["embedded_messages"]
     # the substrate rank, once per arrival, still goes through the module global
     assert tracer.stats("grc", "baselines.power_rank").calls
     # firstfit's and grc's choosers probe through node_fits: each pick is

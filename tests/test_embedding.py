@@ -283,7 +283,7 @@ def test_conservation_replay_against_independent_accounting():
             for idx, vlink in enumerate(vnr.links):
                 path = sol.path_mapping[idx]
                 for a, b in zip(path, path[1:]):
-                    expected_bw[net.link_index(a, b)] += vlink.bw_demand_m
+                    expected_bw[net.adjacency[a].get(b)] += vlink.bw_demand_m
         else:
             a, b = sorted(rng.choice(6, size=2, replace=False).tolist())
             vnr = _pair_vnr(request_id=next_id, cpu=(5.0, 5.0), bw=3.0)
@@ -295,7 +295,7 @@ def test_conservation_replay_against_independent_accounting():
             expected_cpu[a] -= 5000
             expected_cpu[b] -= 5000
             for u, v in zip(path, path[1:]):
-                expected_bw[net.link_index(u, v)] -= 3000
+                expected_bw[net.adjacency[u].get(v)] -= 3000
         assert conservation_violations(net, ledger) == []
         for pid in range(6):
             assert net.cpu_free[pid] == expected_cpu[pid]

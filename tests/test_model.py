@@ -79,9 +79,9 @@ def test_network_adjacency_and_lookup():
     net = _triangle()
     assert net.neighbors(0) == [1, 2]
     assert net.neighbors(1) == [0, 2]
-    assert net.link_index(0, 1) == net.link_index(1, 0) == 0
-    assert net.links[net.link_index(2, 1)].bw_capacity_m == 60000
-    assert net.link_index(0, 0) is None
+    assert net.adjacency[0].get(1) == net.adjacency[1].get(0) == 0
+    assert net.links[net.adjacency[2].get(1)].bw_capacity_m == 60000
+    assert net.adjacency[0].get(0) is None
 
 
 def _is_connected(graph):

@@ -9,12 +9,9 @@ from hypothesis import strategies as st
 from devine import (
     INFEASIBLE,
     ElectionParams,
-    EmbeddedMsg,
-    EmbeddingMsg,
     EmbeddingSolution,
     GeneratorConfig,
     LeaderRing,
-    LeaderState,
     LocalEmbedOutcome,
     PhysicalLink,
     PhysicalNetwork,
@@ -26,14 +23,11 @@ from devine import (
     embed,
     generate_physical_network,
     generate_vnr,
-    handle_embedded,
-    handle_embedding,
     run_election,
     select_leaders,
     stream,
 )
-from devine import protocol
-from oracles import copy_network, residual_snapshot
+from oracles import copy_network, message_election, residual_snapshot
 
 
 def _line_net(n=5, cpu=100.0, bw=100.0):
@@ -61,20 +55,10 @@ def _stub_embedder(metrics, vnr, calls):
 def test_ring_structure():
     ring = LeaderRing((3, 0, 4))
     assert ring.primary == 3
-    assert ring.successor(3) == 0
-    assert ring.successor(0) == 4
-    assert ring.successor(4) == 3
     with pytest.raises(ValueError):
         LeaderRing(())
     with pytest.raises(ValueError):
         LeaderRing((1, 1))
-
-
-def test_message_key_orders_equal_metrics_toward_low_ids():
-    hi = EmbeddingMsg(1, 9.0)
-    lo = EmbeddingMsg(3, 9.0)
-    assert hi.key() > lo.key()
-    assert EmbeddingMsg(3, 9.5).key() > hi.key()
 
 
 def test_select_leaders_shape_and_determinism():
@@ -95,33 +79,67 @@ def test_select_leaders_shape_and_determinism():
         select_leaders(net, 0, 0, np.random.default_rng(0))
 
 
-def _fixed_state(node_id, metric):
-    outcome = LocalEmbedOutcome(
-        True, EmbeddingSolution(0, {0: node_id}, {}, 1.0, 1.0, metric), 1, 0
+def _scripted_election(members, metrics):
+    vnr = _one_node_vnr()
+    ring = LeaderRing(members)
+    return run_election(
+        _line_net(max(members) + 1), vnr, ring.primary,
+        ElectionParams(leaders=len(members)),
+        ring=ring,
+        embedder=_stub_embedder(metrics, vnr, {}),
     )
-    return LeaderState(node_id, outcome)
 
 
-def test_handle_embedding_forwards_takes_over_and_breaks_ties():
-    state = _fixed_state(1, 5.0)
+def _hops(result):
+    return [(e.kind, e.sender, e.receiver, e.subject, e.metric) for e in result.trace.events]
 
-    dominant = EmbeddingMsg(3, 7.0)
-    assert handle_embedding(state, dominant) == dominant  # forwarded unchanged
 
-    weaker = EmbeddingMsg(3, 4.0)
-    assert handle_embedding(state, weaker) == EmbeddingMsg(1, 5.0)  # takeover
+def test_two_leader_election_breaks_equal_metrics_toward_the_low_id():
+    # equal metric from the higher-id primary: node 1 takes over and wins
+    result = _scripted_election((3, 1), {3: 9.0, 1: 9.0})
+    assert result.winner == 1
+    assert _hops(result) == [
+        ("EMBEDDING", 3, 1, 3, 9.0),
+        ("EMBEDDING", 1, 3, 1, 9.0),
+        ("EMBEDDING", 3, 1, 1, 9.0),
+        ("EMBEDDED", 1, 3, 1, 9.0),
+        ("EMBEDDED", 3, 1, 1, 9.0),
+    ]
+    # equal metric from the lower-id primary travels on and comes home
+    result = _scripted_election((1, 3), {1: 9.0, 3: 9.0})
+    assert result.winner == 1
+    assert [hop[3] for hop in _hops(result)] == [1, 1, 1, 1]
+    assert result.trace.embedding_count == 2
+    # a higher metric beats a lower id
+    result = _scripted_election((1, 3), {1: 9.0, 3: 9.5})
+    assert result.winner == 3
+    assert [hop[3] for hop in _hops(result)] == [1, 3, 3, 3, 3]
 
-    # equal metric from a higher node id loses to this leader
-    assert handle_embedding(state, EmbeddingMsg(3, 5.0)) == EmbeddingMsg(1, 5.0)
-    # equal metric from a lower node id wins and travels on
-    tied_low = EmbeddingMsg(1, 5.0)
-    assert handle_embedding(_fixed_state(2, 5.0), tied_low) == tied_low
 
-    # own proposal back: announce; the announcement stops at its winner
-    announced = handle_embedding(state, EmbeddingMsg(1, 5.0))
-    assert announced == EmbeddedMsg(1, state.outcome.solution)
-    assert handle_embedded(_fixed_state(2, 5.0), announced) == announced
-    assert handle_embedded(state, announced) is None
+def test_three_leader_election_forwards_and_takes_over():
+    # a dominant proposal is forwarded unchanged all the way home
+    result = _scripted_election((3, 1, 2), {3: 7.0, 1: 5.0, 2: 6.0})
+    assert result.winner == 3
+    assert _hops(result) == [
+        ("EMBEDDING", 3, 1, 3, 7.0),
+        ("EMBEDDING", 1, 2, 3, 7.0),
+        ("EMBEDDING", 2, 3, 3, 7.0),
+        ("EMBEDDED", 3, 1, 3, 7.0),
+        ("EMBEDDED", 1, 2, 3, 7.0),
+        ("EMBEDDED", 2, 3, 3, 7.0),
+    ]
+    # a weaker one is overwritten: node 1 takes over, node 2 forwards
+    result = _scripted_election((3, 1, 2), {3: 4.0, 1: 5.0, 2: 4.5})
+    assert result.winner == 1
+    assert _hops(result) == [
+        ("EMBEDDING", 3, 1, 3, 4.0),
+        ("EMBEDDING", 1, 2, 1, 5.0),
+        ("EMBEDDING", 2, 3, 1, 5.0),
+        ("EMBEDDING", 3, 1, 1, 5.0),
+        ("EMBEDDED", 1, 2, 1, 5.0),
+        ("EMBEDDED", 2, 3, 1, 5.0),
+        ("EMBEDDED", 3, 1, 1, 5.0),
+    ]
 
 
 def test_five_leader_election_hand_traced():
@@ -236,40 +254,6 @@ def test_election_requires_ring_or_rng_and_consistent_primary():
             ElectionParams(**bad).validate()
 
 
-def test_announcement_dropped_before_the_winner_raises_halted_early(monkeypatch):
-    # a leader swallows the announcement, so it never reaches every leader
-    monkeypatch.setattr(protocol, "handle_embedded", lambda state, msg: None)
-    vnr = _one_node_vnr()
-    with pytest.raises(ProtocolError, match="halted early"):
-        run_election(
-            _line_net(5), vnr, 0,
-            ElectionParams(leaders=5),
-            ring=LeaderRing((0, 1, 2, 3, 4)),
-            embedder=_stub_embedder({nid: 1.0 for nid in range(5)}, vnr, {}),
-        )
-
-
-def test_announcement_forwarded_past_the_winner_raises_instead_of_hanging(monkeypatch):
-    ring = LeaderRing((0, 1, 2, 3, 4))
-    forwarded = []
-
-    def faulty_handle_embedded(state, msg):
-        # the winner forwards its own announcement instead of absorbing it
-        forwarded.append(state.node_id)
-        assert len(forwarded) < 100, "the election did not stop"
-        return msg
-
-    monkeypatch.setattr(protocol, "handle_embedded", faulty_handle_embedded)
-    vnr = _one_node_vnr()
-    with pytest.raises(ProtocolError, match="exceeded 14 deliveries"):
-        run_election(
-            _line_net(5), vnr, 0,
-            ElectionParams(leaders=5),
-            ring=ring,
-            embedder=_stub_embedder({nid: 1.0 for nid in range(5)}, vnr, {}),
-        )
-
-
 def test_trace_serializes_to_jsonl_with_null_for_infeasible():
     net = _line_net(2)
     vnr = _one_node_vnr()
@@ -291,10 +275,13 @@ def test_trace_serializes_to_jsonl_with_null_for_infeasible():
 def scripted_elections(draw):
     """Rings of 1-12 distinct leaders with metrics from a small, tie-heavy set.
 
-    NaN stands for a metric whose x * revenue - y * cost overflowed.
+    NaN stands for a metric whose x * revenue - y * cost overflowed.  One ring
+    in five has no feasible leader at all.
     """
     members = draw(st.lists(st.integers(0, 30), min_size=1, max_size=12, unique=True))
     metric = st.sampled_from((INFEASIBLE, math.nan, 0.0, 1.0, 2.5, 7.0))
+    if draw(st.integers(0, 4)) == 0:
+        metric = st.just(INFEASIBLE)
     return LeaderRing(tuple(members)), {nid: draw(metric) for nid in members}
 
 
@@ -340,22 +327,47 @@ def test_election_elects_the_best_proposal_within_the_ring_bound(election):
 
 def test_real_elections_pick_the_best_local_embedding():
     # the winning key must equal the best (metric, -id) over every leader's
-    # own-view embedding computed independently on a frozen copy
+    # own-view embedding computed independently on a frozen copy, and the
+    # trace must be the one the message-passing ring delivers
     cfg = GeneratorConfig(server_count=12, link_probability=0.4, vnr_size=(2, 4))
-    params = ElectionParams(leaders=4, alpha=5.0, beta=2)
-    for seed in range(10):
-        net = generate_physical_network(cfg, stream(seed, "topology"))
-        vnr = generate_vnr(cfg, 0, 0.0, stream(seed, "vnr"))
-        rng = stream(seed, "leaders")
-        primary = int(stream(seed, "primaries").integers(0, 12))
-        frozen = copy_network(net)
-        result = run_election(net, vnr, primary, params, rng=rng)
-        expected = max(
-            (embed(nid, frozen, vnr, params).metric(), -nid)
-            for nid in result.ring.members
-        )
-        winner_outcome = embed(result.winner, frozen, vnr, params)
-        assert (winner_outcome.metric(), -result.winner) == expected
-        assert result.outcome.metric() == winner_outcome.metric()
-        assert result.trace.embedding_count <= 2 * params.leaders - 1
-        assert result.trace.embedded_count == params.leaders
+    for leaders in (2, 4, 12):
+        params = ElectionParams(leaders=leaders, alpha=5.0, beta=2)
+        for seed in range(10):
+            net = generate_physical_network(cfg, stream(seed, "topology"))
+            vnr = generate_vnr(cfg, 0, 0.0, stream(seed, "vnr"))
+            rng = stream(seed, "leaders")
+            primary = int(stream(seed, "primaries").integers(0, 12))
+            frozen = copy_network(net)
+            result = run_election(net, vnr, primary, params, rng=rng)
+            outcomes = {nid: embed(nid, frozen, vnr, params) for nid in result.ring.members}
+            expected = max((outcome.metric(), -nid) for nid, outcome in outcomes.items())
+            assert (result.outcome.metric(), -result.winner) == expected
+            assert result.trace.embedding_count <= 2 * leaders - 1
+            assert result.trace.embedded_count == leaders
+            winner, outcome, trace = message_election(result.ring, outcomes, vnr.request_id)
+            assert (result.winner, result.outcome) == (winner, outcome)
+            assert result.trace.embedding_count == trace.embedding_count
+            assert result.trace.embedded_count == trace.embedded_count
+            assert result.trace.to_jsonl() == trace.to_jsonl()
+
+
+@settings(max_examples=500, deadline=None)
+@given(election=scripted_elections())
+def test_one_pass_election_matches_the_message_passing_ring(election):
+    ring, metrics = election
+    vnr = _one_node_vnr(request_id=7)
+    make = _stub_embedder(metrics, vnr, {})
+    outcomes = {nid: make(nid) for nid in ring.members}
+    result = run_election(
+        _line_net(31), vnr, ring.primary,
+        ElectionParams(leaders=len(ring.members)),
+        ring=ring,
+        embedder=outcomes.__getitem__,
+    )
+    winner, outcome, trace = message_election(ring, outcomes, vnr.request_id)
+    assert result.winner == winner
+    assert result.outcome is outcome
+    assert result.trace.embedding_count == trace.embedding_count
+    assert result.trace.embedded_count == trace.embedded_count
+    # repr, so that a NaN metric compares equal to itself
+    assert [repr(e) for e in result.trace.events] == [repr(e) for e in trace.events]
