@@ -9,6 +9,9 @@ A root with room for the whole request takes all of it without a walk,
 and a virtual link whose endpoints share a server skips the path mapper.
 A blocked virtual link first tries two-hop detours through its endpoints'
 common neighbours, then three-hop detours, and only then the path search.
+Given a floor, the ring's best key so far, a leader stops as soon as even
+its committed cost prices it below that floor: the committed bandwidth cost
+only grows, so for y >= 0 its metric bounds the final one from above.
 """
 
 from __future__ import annotations
@@ -58,6 +61,13 @@ class LocalEmbedOutcome:
     def metric(self) -> float:
         """Solution metric, or the -inf sentinel when infeasible."""
         return self.solution.metric if self.feasible else INFEASIBLE
+
+
+def _key(node_id: int, metric: float) -> tuple[float, int]:
+    """A proposal's rank: higher metric first, equal metrics toward the lower id."""
+    # a NaN metric (x * revenue - y * cost overflowed) ranks as infeasible,
+    # since it would break the total order the ring relies on
+    return (INFEASIBLE if math.isnan(metric) else metric, -node_id)
 
 
 def demand_order(vnr: Vnr) -> list[int]:
@@ -315,12 +325,21 @@ def embed(
     net: PhysicalNetwork,
     vnr: Vnr,
     params: LocalEmbedParams | None = None,
+    *,
+    floor: tuple[float, int] | None = None,
 ) -> LocalEmbedOutcome:
     """Bounded BFS embedding rooted at one substrate node.
 
     A root with room for the whole request takes all of it unless injective.
     Does not mutate the network; the caller allocates the returned solution
     if it wins.
+
+    `floor` is the key `(metric, -id)` to beat, the best of the leaders
+    before this one in ring order.  When y >= 0 and its metric is finite,
+    the search reports infeasible once the root's key at the committed cost
+    falls below it, checked before the walk and after each placement that
+    adds bandwidth cost: a rollback takes back only the failing node's own
+    routes, so that cost only grows and its metric bounds the final one.
     """
     params = params or LocalEmbedParams()
     params.validate()
@@ -331,7 +350,16 @@ def embed(
     # but keeps a huge finite alpha from overflowing to an infinite budget
     budget = math.ceil(min(params.alpha * vnr.num_nodes, net.num_nodes))
     hop_limit = params.hop_limit()
-    by_demand, demands, least, totals, _ = _demands(vnr)
+    by_demand, demands, least, totals, revenue = _demands(vnr)
+    if params.y < 0 or (floor is not None and not math.isfinite(floor[0])):
+        floor = None  # y < 0: cost raises the metric; -inf: no earlier leader was feasible
+
+    def beaten(weighted_m: int) -> bool:
+        cost = from_milli(totals[0] + weighted_m)  # as _finish prices it
+        return _key(root, metric_of(revenue, cost, params.x, params.y)) < floor
+
+    if floor is not None and beaten(0):
+        return LocalEmbedOutcome(False, None, 0, 0)
     scratch = _Scratch(net, vnr, params.injective)
     cpu_free, memory_free, gpu_free = net.cpu_free, net.memory_free, net.gpu_free
     # The walk starts at the root, depth 0 <= beta, within a budget >= 1.  Totals bound
@@ -352,6 +380,7 @@ def embed(
     known = len(order)  # only grow() lengthens the walk
     inspected = 0
     max_depth = 0
+    priced_m = 0  # the committed cost the floor was last checked at
     while remaining and inspected < budget:
         if inspected == known:
             if not walk.grow():
@@ -377,6 +406,10 @@ def embed(
             if cpu_m > free_cpu or memory_m > free_memory or gpu_m > free_gpu:
                 continue
             if scratch.try_place(vid, here, hop_limit):
+                if floor is not None and scratch.weighted_m > priced_m:
+                    priced_m = scratch.weighted_m
+                    if beaten(priced_m):
+                        return LocalEmbedOutcome(False, None, inspected, max_depth)
                 remaining.remove(vid)
                 free_cpu -= cpu_m
                 free_memory -= memory_m

@@ -9,12 +9,15 @@ back has won and circulates the final solution.  Proposals are ordered by
 ring here never loses, delays or reorders a message, so every delivery is a
 function of the running best proposal in ring order, and the election is one
 pass over the ring that records the messages the protocol would deliver.
+Each leader embeds with the best key of the leaders before it as a floor and
+stops once it cannot beat it (see `local_embed.embed`): such a leader's
+proposal would be overwritten at the next hop and never reach the trace, so
+the winner, its outcome and every delivered message stay the same.
 """
 
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import asdict, dataclass
 from typing import Callable
 
@@ -22,7 +25,7 @@ import numpy as np
 
 # allocate and verify_solution stay importable for benchmarks/layers.py
 from .embedding import allocate, verify_solution
-from .local_embed import INFEASIBLE, LocalEmbedOutcome, LocalEmbedParams, embed
+from .local_embed import INFEASIBLE, LocalEmbedOutcome, LocalEmbedParams, _key, embed
 from .model import PhysicalNetwork, Vnr
 
 
@@ -57,13 +60,6 @@ class LeaderRing:
     @property
     def primary(self) -> int:
         return self.members[0]
-
-
-def _key(node_id: int, metric: float) -> tuple[float, int]:
-    """A proposal's rank: higher metric first, equal metrics toward the lower id."""
-    # a NaN metric (x * revenue - y * cost overflowed) ranks as infeasible,
-    # since it would break the total order the ring relies on
-    return (INFEASIBLE if math.isnan(metric) else metric, -node_id)
 
 
 @dataclass
@@ -142,8 +138,9 @@ def run_election(
     """Run one full election for a request and return the winner's embedding.
 
     Every leader computes its local embedding once, in ring order, against
-    the shared network state as it stands at election start.  The election
-    never mutates the network: the caller allocates the winning solution.
+    the shared network state as it stands at election start, and the default
+    embedder passes it the best key of the leaders before it as a floor.  The
+    election never mutates the network: the caller allocates the winning solution.
     """
     params = params or ElectionParams()
     params.validate()
@@ -153,9 +150,10 @@ def run_election(
         ring = select_leaders(net, primary, params.leaders, rng)
     elif ring.primary != primary:
         raise ProtocolError("ring primary disagrees with the requested primary")
+    best_key = None  # the best key of the leaders embedded so far
     if embedder is None:
         def embedder(nid: int) -> LocalEmbedOutcome:
-            return embed(nid, net, vnr, params)
+            return embed(nid, net, vnr, params, floor=best_key)
 
     members, size = ring.members, len(ring.members)
     outcomes, carried = [], []  # carried[i]: ring position of the best of members[:i + 1]

@@ -1,5 +1,7 @@
 import json
 import math
+from collections import Counter
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -13,21 +15,27 @@ from devine import (
     GeneratorConfig,
     LeaderRing,
     LocalEmbedOutcome,
+    LocalEmbedParams,
     PhysicalLink,
     PhysicalNetwork,
     PhysicalNode,
     ProtocolError,
     ResourceVector,
+    VirtualLink,
     VirtualNode,
     Vnr,
     embed,
     generate_physical_network,
     generate_vnr,
+    local_embed,
+    protocol,
     run_election,
     select_leaders,
     stream,
 )
+from devine.local_embed import _key
 from oracles import copy_network, message_election, residual_snapshot
+from test_fast_paths import requests, seeded_networks
 
 
 def _line_net(n=5, cpu=100.0, bw=100.0):
@@ -371,3 +379,144 @@ def test_one_pass_election_matches_the_message_passing_ring(election):
     assert result.trace.embedded_count == trace.embedded_count
     # repr, so that a NaN metric compares equal to itself
     assert [repr(e) for e in result.trace.events] == [repr(e) for e in trace.events]
+
+
+@st.composite
+def bounded_cases(draw):
+    """A substrate with 0-30 units of each resource per server, a request and its params.
+
+    x and y are drawn from {0, 1, 1e308} and {-1, 0, 1, 1e308}, half of them
+    1, so negative y, zero weights and overflowing (infinite or NaN) metrics
+    all occur.  One request in six asks more cpu than any server has, so
+    every leader fails.
+    """
+    topology, rng = draw(seeded_networks(nodes=(12, 40), density=(0.05, 0.3)))
+    net = PhysicalNetwork(
+        [
+            PhysicalNode(i, ResourceVector(*(rng.randint(0, 30) for _ in range(3))))
+            for i in range(topology.num_nodes)
+        ],
+        [PhysicalLink(link.u, link.v, 30.0) for link in topology.links],
+        bw_free=topology.bw_free,
+    )
+    vnr = draw(requests(max_nodes=5, amount=st.integers(0, 12)))
+    if rng.random() < 1 / 6:
+        vnr.nodes[0] = VirtualNode(0, ResourceVector(31, 0, 0))
+    params = ElectionParams(
+        leaders=draw(st.integers(1, 12)),
+        alpha=draw(st.sampled_from([0.5, 2.0, 30.0])),
+        beta=draw(st.integers(0, 3)),
+        x=draw(st.just(1.0) | st.sampled_from([0.0, 1e308])),
+        y=draw(st.just(1.0) | st.sampled_from([-1.0, 0.0, 1e308])),
+        path_hop_limit=draw(st.none() | st.integers(1, 6)),
+        injective=draw(st.booleans()),
+    )
+    return net, vnr, params, rng
+
+
+def _outcome_bits(outcome):
+    return outcome.metric().hex(), outcome.inspected_count, outcome.max_depth_reached
+
+
+def test_bounded_elections_match_the_unbounded_ring():
+    # every leader embeds with the best key of the leaders before it as its
+    # floor; the reference embeds every leader unbounded on a frozen copy and
+    # runs the message-passing ring over those outcomes
+    counts = Counter()
+
+    @settings(max_examples=500, deadline=None)
+    @given(case=bounded_cases())
+    def check(case):
+        net, vnr, params, rng = case
+        ring = LeaderRing(tuple(rng.sample(range(net.num_nodes), params.leaders)))
+        frozen = copy_network(net)
+        unbounded = {nid: embed(nid, frozen, vnr, params) for nid in ring.members}
+        floors, bounded = [], {}
+
+        def spy(root, *args, floor=None):
+            floors.append(floor)
+            bounded[root] = embed(root, *args, floor=floor)
+            return bounded[root]
+
+        with mock.patch.object(protocol, "embed", spy):
+            result = run_election(net, vnr, ring.primary, params, ring=ring)
+        winner, outcome, trace = message_election(ring, unbounded, vnr.request_id)
+        assert result.winner == winner
+        assert result.outcome == outcome
+        assert _outcome_bits(result.outcome) == _outcome_bits(outcome)
+        assert result.trace.to_jsonl() == trace.to_jsonl()
+        # the floor is the ring-order best so far, and the first leader has none
+        keys = [_key(nid, bounded[nid].metric()) for nid in ring.members]
+        assert floors == [None] + [max(keys[:pos]) for pos in range(1, len(keys))]
+        # with y < 0, or behind leaders that all failed, nothing is cut
+        for nid, floor in zip(ring.members, floors):
+            if params.y < 0 or floor is None or floor[0] == INFEASIBLE:
+                assert bounded[nid] == unbounded[nid]
+        counts["examples"] += 1
+        counts["cut"] += any(bounded[nid] != unbounded[nid] for nid in ring.members)
+        counts["negative y"] += params.y < 0
+        counts["all fail"] += not any(o.feasible for o in unbounded.values())
+
+    check()
+    assert counts["cut"] >= counts["examples"] // 20, counts
+    assert counts["negative y"] >= counts["examples"] // 20, counts
+    assert counts["all fail"], counts
+
+
+def test_a_floor_cuts_only_a_leader_that_cannot_beat_it():
+    counts = Counter()
+
+    @settings(max_examples=500, deadline=None)
+    @given(case=bounded_cases(), data=st.data())
+    def check(case, data):
+        net, vnr, params, rng = case
+        root = rng.randrange(net.num_nodes)
+        unbounded = embed(root, net, vnr, params)
+        # floors at the leader's own metric, just around it, and anywhere else
+        metric = unbounded.metric()
+        near = [metric, metric - 1.0, metric + 1.0] if math.isfinite(metric) else [0.0]
+        floor = (
+            data.draw(st.sampled_from(near) | st.sampled_from([INFEASIBLE, 0.0, 50.0, -1e308])),
+            -data.draw(st.sampled_from([root, root - 1, root + 1, rng.randrange(net.num_nodes)])),
+        )
+        bounded = embed(root, net, vnr, params, floor=floor)
+        # kept, or with y < 0 or behind leaders that all failed: nothing is cut
+        if bounded.feasible or params.y < 0 or floor[0] == INFEASIBLE:
+            assert bounded == unbounded
+        elif unbounded.feasible:
+            assert _key(root, metric) < floor
+            counts["cut"] += 1
+        counts["feasible"] += unbounded.feasible
+
+    check()
+    assert counts["cut"] >= counts["feasible"] // 20, counts
+
+
+def test_a_floor_prices_committed_routes_not_a_rolled_back_detour():
+    # v0 and v1 fill root 0.  v2 first tries server 1: its 10-unit link to v0
+    # detours over 0-3-1 (20 units of bandwidth x hops), then its link to v1
+    # finds no path and both roll back.  On server 2 both links go direct, so
+    # the committed cost ends at 11 units, below what the detour had reserved.
+    net = PhysicalNetwork(
+        [PhysicalNode(i, ResourceVector(cpu, 0, 0)) for i, cpu in enumerate((10, 20, 20, 0))],
+        [PhysicalLink(0, 1, 10.0), PhysicalLink(0, 2, 11.0), PhysicalLink(0, 3, 10.0),
+         PhysicalLink(1, 3, 10.0)],
+        bw_free=[0, 11_000, 10_000, 10_000],
+    )
+    vnr = Vnr(
+        0,
+        [VirtualNode(vid, ResourceVector(cpu, 0, 0)) for vid, cpu in enumerate((5, 5, 11))],
+        [VirtualLink(0, 2, 10.0), VirtualLink(1, 2, 1.0)],
+    )
+    params = LocalEmbedParams()
+    with mock.patch.object(local_embed, "map_link", wraps=local_embed.map_link) as spy:
+        unbounded = embed(0, net, vnr, params)
+    assert [call.args[1:3] for call in spy.call_args_list] == [(0, 1), (0, 1), (0, 2), (0, 2)]
+    assert unbounded.solution.node_mapping == {0: 0, 1: 0, 2: 2}
+    assert unbounded.metric() == 0.0  # revenue 32 - (21 cpu + 11 bandwidth x hops)
+    # the detour priced the leader at 32 - 41 = -9, but it was never committed
+    for floor in ((-1.0, -5), (0.0, -1)):
+        assert embed(0, net, vnr, params, floor=floor) == unbounded
+    # a floor above the final metric cuts the leader once server 2 commits
+    assert embed(0, net, vnr, params, floor=(0.5, -5)) == LocalEmbedOutcome(False, None, 3, 1)
+    assert embed(0, net, vnr, params, floor=(11.5, -5)) == LocalEmbedOutcome(False, None, 0, 0)
