@@ -259,8 +259,12 @@ def cmd_validate(args) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse printed why; its exit code 2 is ours for runtime failures
+        if exc.code == 0:  # --help and --version
+            raise
+        return 1
     try:
         if args.command == "run":
             return cmd_run(args)

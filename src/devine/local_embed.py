@@ -107,10 +107,10 @@ def map_link(
     capacity-blind shortest path is blocked, two-hop and then three-hop
     detours are tried, smallest first, before the breadth-first search.
     """
+    if not (0 <= src < len(net.nodes) and 0 <= dst < len(net.nodes)):
+        raise ValueError(f"unknown endpoint in ({src}, {dst})")
     if src == dst:
         return (src,)
-    if hop_limit < 1:
-        return None
     reserved = reserved or {}
     bw_free = net.bw_free
     adjacency = net.adjacency
@@ -122,21 +122,29 @@ def map_link(
     # links, so no feasible path is shorter: if it is too long or missing,
     # nothing fits.  If every hop carries the demand it is the answer
     # _search's two-sided fill and descent would give, since the feasible
-    # shortest paths are among the capacity-blind ones and the walk yields
-    # the smallest of those.
-    hops = net.next_hops(dst, src)
+    # shortest paths are among the capacity-blind ones and the descent takes
+    # the smallest of those.  dst's walk lists every node of depth k - 1
+    # before any of depth k, so once src has a depth every node closer to
+    # dst has its true one, and each step takes the smallest id a level down.
+    walk = net.walk(dst)
+    depth = walk.depth
+    level = depth[src] if depth[src] >= 0 else walk.reach(src)  # a call only to grow it
+    if not 0 < level <= hop_limit:
+        return None
     path = [src]
-    blocked = False
+    fits = True
     here = src
-    while here != dst:
-        nxt = hops[here]
-        if nxt < 0 or len(path) > hop_limit:
-            return None
-        if not blocked and not usable(adjacency[here][nxt]):
-            blocked = True
+    step = level - 1
+    while step:  # most paths take one or two steps, for which a range costs more
+        for nxt in net.neighbors(here):  # ascending ids
+            if depth[nxt] == step:
+                break
+        fits = fits and usable(adjacency[here][nxt])
         path.append(nxt)
         here = nxt
-    if not blocked:
+        step -= 1
+    path.append(dst)
+    if fits and usable(adjacency[here][dst]):
         return tuple(path)
     # a path leaves src and enters dst, so each needs a link that carries the demand
     if not any(map(usable, adjacency[src].values())) or not any(
@@ -146,15 +154,15 @@ def map_link(
     # blocked within 2 hops, no usable path has fewer than 2, and every 2-hop
     # path runs through a common neighbour: the smallest-id usable one wins
     out, into = adjacency[src], adjacency[dst]
-    if len(path) <= 3 and hop_limit >= 2:
+    if level <= 2 and hop_limit >= 2:
         for mid in sorted(out.keys() & into.keys()):
             if usable(out[mid]) and usable(into[mid]):
                 return (src, mid, dst)
     # now no usable path has fewer than 3 hops (the blind one has 3, or no 2-hop
     # detour passed), and each 3-hop path is (src, a, b, dst) with b next to a and
     # dst: ascending (a, b) is _search's lexicographic tie order.  a == dst or
-    # b == src needs the direct link, which only the blocked 1-hop walk has.
-    if len(path) <= 4 and hop_limit >= 3:
+    # b == src needs the direct link, which only the blocked 1-hop path has.
+    if level <= 3 and hop_limit >= 3:
         for a in net.neighbors(src):  # ascending ids
             if usable(out[a]):
                 for b in sorted(adjacency[a].keys() & into.keys()):
@@ -376,17 +384,15 @@ def embed(
     least_cpu, least_memory, least_gpu = least
     beta = params.beta
     walk = net.walk(root)
-    order = walk.order
-    known = len(order)  # only grow() lengthens the walk
+    order, depths = walk.order, walk.depth
     inspected = 0
     max_depth = 0
     priced_m = 0  # the committed cost the floor was last checked at
     while remaining and inspected < budget:
-        if inspected == known:
-            if not walk.grow():
-                break
-            known = len(order)
-        here, depth = order[inspected]
+        if inspected == len(order) and not walk.grow():
+            break
+        here = order[inspected]
+        depth = depths[here]
         if depth > beta:
             break
         inspected += 1

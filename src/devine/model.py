@@ -92,35 +92,44 @@ def _build_adjacency(num_nodes: int, links) -> list[dict[int, int]]:
 
 
 class Walk:
-    """Breadth-first order of (node, depth) pairs from one root, grown on demand.
+    """Breadth-first order of node ids from one root, with their depths, grown on demand.
 
     Each node's neighbors are queued in the order `neighbors` lists them.
-    Given ascending ids, as `PhysicalNetwork.walk` gives them, the pairs of
+    Given ascending ids, as `PhysicalNetwork.walk` gives them, the nodes of
     depth <= beta are, in order, what a FIFO search capped at beta visits.
+    `depth[v]` is v's hop distance from the root once v is in `order`, else -1.
     """
 
-    __slots__ = ("order", "_seen", "_expanded", "_neighbors")
+    __slots__ = ("order", "depth", "_expanded", "_neighbors")
 
     def __init__(self, root: int, neighbors):
-        self.order: list[tuple[int, int]] = [(root, 0)]
-        self._seen = bytearray(len(neighbors))
-        self._seen[root] = 1
+        self.order = [root]
+        self.depth = [-1] * len(neighbors)
+        self.depth[root] = 0
         self._expanded = 0  # order[:_expanded] have had their neighbors queued
         self._neighbors = neighbors
 
     def grow(self) -> bool:
-        """Append at least one more pair; False when the root's component is exhausted."""
+        """Append at least one more node; False when the root's component is exhausted."""
         order = self.order
-        seen = self._seen
+        depth = self.depth
         start = len(order)
         while len(order) == start and self._expanded < start:
-            here, depth = order[self._expanded]
+            here = order[self._expanded]
             self._expanded += 1
+            below = depth[here] + 1
             for nb in self._neighbors[here]:
-                if not seen[nb]:
-                    seen[nb] = 1
-                    order.append((nb, depth + 1))
+                if depth[nb] < 0:
+                    depth[nb] = below
+                    order.append(nb)
         return len(order) > start
+
+    def reach(self, node: int) -> int:
+        """node's depth, grown until it has one; -1 once the root's component is exhausted."""
+        depth = self.depth
+        while depth[node] < 0 and self.grow():
+            pass
+        return depth[node]
 
 
 def _free_list(given: list[int] | None, capacity: list[int], what: str) -> list[int]:
@@ -161,10 +170,6 @@ class PhysicalNetwork:
         self.bw_free = _free_list(bw_free, [l.bw_capacity_m for l in links], "bandwidth")
         self.adjacency = _build_adjacency(len(nodes), links)
         self._neighbors = [sorted(nbs) for nbs in self.adjacency]
-        # grown one destination at a time, as far as the walks need: building
-        # all of them here would charge every destination to network setup
-        self._next_hops: list[list[int] | None] = [None] * len(nodes)
-        self._hop_frontiers: list[list[int] | None] = [None] * len(nodes)
         self._walks: list[Walk | None] = [None] * len(nodes)
         self._endpoints: tuple[np.ndarray, np.ndarray] | None = None
         self.grc_rank_memo: tuple | None = None  # baselines.grc_rank's (params, cpu, bw, rank)
@@ -180,33 +185,6 @@ class PhysicalNetwork:
     def neighbors(self, node_id: int) -> list[int]:
         """Neighbor ids in ascending order."""
         return self._neighbors[node_id]
-
-    def next_hops(self, dst: int, src: int) -> list[int]:
-        """Capacity-blind shortest-path steps towards dst, grown until entry src is set.
-
-        Entry v is v's smallest-id neighbor one hop closer to dst, so walking
-        the entries from src traces the lexicographically smallest shortest
-        path to dst.  Entry dst is dst itself; entry v is -1 when v cannot reach
-        dst or lies past the levels grown so far.  The topology is static, so a
-        table keeps its levels and grows a whole level at a time as walks need.
-        """
-        table = self._next_hops[dst]
-        if table is None:
-            table = self._next_hops[dst] = [-1] * self.num_nodes
-            table[dst] = dst
-            self._hop_frontiers[dst] = [dst]
-        frontier = self._hop_frontiers[dst]
-        while table[src] < 0 and frontier:
-            reached = []
-            # ascending frontier ids: a node's first discoverer is its
-            # smallest-id neighbor on the previous level
-            for here in frontier:
-                for nb in self._neighbors[here]:
-                    if table[nb] < 0:
-                        table[nb] = here
-                        reached.append(nb)
-            frontier = self._hop_frontiers[dst] = sorted(reached)
-        return table
 
     def walk(self, root: int) -> Walk:
         """Breadth-first walk from root, shared by every caller; the topology is static."""

@@ -388,6 +388,37 @@ def test_runtime_failures_exit_2(tmp_path, capsys):
     assert "runtime error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["run", "--servers", "abc"], "argument --servers: invalid int value: 'abc'"),
+        (["run", "--bogus"], "unrecognized arguments: --bogus"),
+        (["frobnicate"], "invalid choice: 'frobnicate'"),
+        ([], "the following arguments are required: command"),
+        # argparse reads -1e3 as a flag, not a negative number; --y=-1e3 works
+        (["validate", "--y", "-1e3"], "argument --y: expected one argument"),
+    ],
+)
+def test_parse_errors_exit_1_with_their_message(argv, message, capsys):
+    assert main(argv) == 1
+    assert message in capsys.readouterr().err
+
+
+def test_help_exits_0_and_a_joined_negative_value_parses(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "--help"])
+    assert exc.value.code == 0
+    assert "--servers" in capsys.readouterr().out
+    assert main(["validate", "--y=-1e3"]) == 0
+    out = capsys.readouterr().out
+    assert json.loads(out[: out.rindex("}") + 1])["election"]["y"] == -1000.0
+    proc = subprocess.run(
+        [sys.executable, "-m", "devine", "run", "--bogus"],
+        capture_output=True, text=True, env=_child_env(),
+    )
+    assert proc.returncode == 1 and "unrecognized arguments: --bogus" in proc.stderr
+
+
 def test_version_flag():
     with pytest.raises(SystemExit) as exc:
         main(["--version"])

@@ -1,12 +1,12 @@
 """Property tests: the fast paths against their slow references.
 
-`map_link` first walks the capacity-blind next-hop table, grown from the
-destination only until it reaches the source; when that walk hits a link
-that cannot carry the demand it gives up if either endpoint has no link
-that can, tries the two-hop detours through the endpoints' common
-neighbours when the walk had at most two hops, then the three-hop detours
-when it had at most three, and only then runs a breadth-first search that
-fills levels from both ends until they meet.
+`map_link` first descends the capacity-blind shortest path through the
+depths of the destination's breadth-first walk, grown only until it reaches
+the source; when that path hits a link that cannot carry the demand it
+gives up if either endpoint has no link that can, tries the two-hop detours
+through the endpoints' common neighbours when the path had at most two
+hops, then the three-hop detours when it had at most three, and only then
+runs a breadth-first search that fills levels from both ends until they meet.
 `embed` lets a root with room for the whole request take all of it
 without a walk, reads a breadth-first walk
 that the network caches per root across calls, skips servers below the
@@ -21,8 +21,8 @@ stacked iteration per request size, orders nodes by a stable argsort, and
 reuses a substrate rank while the residuals it ranked are unchanged.
 bestfit picks from one fit mask over an array of what is free; firstfit and
 GRC probe only the servers that clear a request's least demand.  Each must
-give exactly what the whole next-hop table, the exhaustive path oracle,
-the one-sided search, the plain greedy loop, the scratch that maps every
+give exactly what the whole-graph breadth-first search, the exhaustive path
+oracle, the one-sided search, the plain greedy loop, the scratch that maps every
 link, the loop-built rank, the
 sorted-key order, the scanning choosers, the request-only demand memo and
 `cost_of`, `revenue_of` and `metric_of` give.  The generator draws each
@@ -127,8 +127,8 @@ def requests(draw, max_nodes=4, request_id=0, amount=amounts):
 
 
 def _blind_path(net, src, dst):
-    """The capacity-blind shortest path the next-hop walk takes, or None."""
-    hops = net.next_hops(dst, src)
+    """The smallest capacity-blind shortest path, read off the whole next-hop table, or None."""
+    hops = oracles.next_hop_table(net, dst)
     path = [src]
     while path[-1] != dst and hops[path[-1]] >= 0:
         path.append(hops[path[-1]])
@@ -437,30 +437,47 @@ def test_three_hop_detour_matches_the_search_on_sparse_substrates():
     assert counts["hop limit 2 cut a 3-hop path"] >= share, counts
 
 
-def test_next_hop_walk_is_the_capacity_blind_best_path():
+def test_walk_depths_are_true_from_any_source_order_and_give_the_blind_path():
     counts = Counter()
 
     @settings(max_examples=200, deadline=None)
     @given(net=networks(), data=st.data())
     def check(net, data):
         for dst in range(net.num_nodes):
-            whole = oracles.next_hop_table(net, dst)
-            # sources in a drawn order, so a table is asked to grow from any level
+            whole = [  # hop distances to dst, from the whole next-hop table
+                -1 if path is None else len(path) - 1
+                for path in (_blind_path(net, src, dst) for src in range(net.num_nodes))
+            ]
+            walk = net.walk(dst)
+            # sources in a drawn order, so a walk is asked to grow from any depth
             for src in data.draw(st.permutations(range(net.num_nodes))):
-                table = net.next_hops(dst, src)
-                assert table[dst] == dst and table[src] == whole[src]
-                assert all(got == want for got, want in zip(table, whole) if got >= 0)
-                counts["partial"] += table != whole
-                assert _blind_path(net, src, dst) == best_path(net, src, dst, 0)
-            # grown to every source, a table is the whole one
-            assert net.next_hops(dst, dst) == whole
-        copy = oracles.copy_network(net)  # its own tables, grown alike
+                level = walk.reach(src)
+                assert level == whole[src]
+                # every depth set is true, and so is every one closer than src's:
+                # an exhausted walk (src cut off) holds its whole component
+                closer = level if level >= 0 else net.num_nodes
+                assert all(got == want for got, want in zip(walk.depth, whole) if got >= 0)
+                assert all(walk.depth[v] == d for v, d in enumerate(whole) if 0 <= d < closer)
+                assert sorted(walk.order) == [v for v, d in enumerate(walk.depth) if d >= 0]
+                counts["partial"] += walk.depth != whole
+                # at zero demand every link carries it: map_link is the blind path
+                hop_limit = data.draw(st.integers(0, 5))
+                got = map_link(net, src, dst, 0, hop_limit)
+                assert got == best_path(net, src, dst, 0, max_hops=hop_limit)
+                counts["pairs"] += 1
+                counts["cut by the hop limit"] += got is None and level >= 0
+                counts["cut off"] += level < 0
+            assert [walk.depth[v] for v in walk.order] == sorted(walk.depth[v] for v in walk.order)
+        copy = oracles.copy_network(net)  # its own walks, grown alike
         for src in range(net.num_nodes):
-            copy.next_hops(0, src)
-        assert copy.next_hops(0, 0) == net.next_hops(0, 0)
+            copy.walk(0).reach(src)
+        assert copy.walk(0).order == net.walk(0).order
 
     check()
-    assert counts["partial"], counts  # some walks stopped short of a whole table
+    assert counts["partial"], counts  # some walks stopped short of the whole component
+    assert counts["cut by the hop limit"] >= counts["pairs"] // 20, counts
+    # disconnected substrates come in clumps: 5-14% of the pairs over eleven runs
+    assert counts["cut off"] >= counts["pairs"] // 50, counts
 
 
 def plain_greedy_embed(root, net, vnr, params):
@@ -738,12 +755,13 @@ def test_cached_walks_serve_every_root_and_depth_across_calls():
     twin = oracles.copy_network(net)
     for root in range(net.num_nodes):
         full = twin.walk(root)
-        assert full.order == [(root, 0)]  # a new network starts without cached walks
+        assert full.order == [root]  # a new network starts without cached walks
         while full.grow():
             pass
-        cached = net.walk(root).order
-        assert cached == full.order[: len(cached)]
-    assert net.walk(6).order == [(6, 0), (7, 1)]
+        cached = net.walk(root)
+        assert cached.order == full.order[: len(cached.order)]
+        assert cached.depth == [full.depth[v] if v in cached.order else -1 for v in range(8)]
+    assert net.walk(6).order == [6, 7] and net.walk(6).depth[6:] == [0, 1]
     assert len(net.walk(0).order) < len(twin.walk(0).order)  # grown only as far as read
 
 

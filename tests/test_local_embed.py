@@ -94,6 +94,16 @@ def test_map_link_zero_hop_and_cutoffs():
     assert map_link(net, 0, 2, 20000, hop_limit=6) is None  # no link can carry 20
 
 
+def test_map_link_rejects_unknown_endpoints():
+    # a negative id would alias a node counted from the end, (-1, 3) routing from node 9
+    cfg = GeneratorConfig(server_count=10, link_probability=0.3)
+    net = generate_physical_network(cfg, stream(1, "topology"))
+    for src, dst in [(-1, 3), (0, 10), (-1, -1), (10, 10), (3, -11)]:
+        with pytest.raises(ValueError, match="unknown endpoint"):
+            map_link(net, src, dst, 0, 6)
+    assert map_link(net, 9, 3, 0, 6) == (9, 6, 3)  # the node -1 stood for
+
+
 def test_map_link_honors_tentative_reservations():
     net = _square()
     taken = {0: 5000}  # link (0,1) has 10 capacity, 5 already claimed
