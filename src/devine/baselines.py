@@ -68,18 +68,23 @@ def _first_fitting(net: PhysicalNetwork, vnr: Vnr, candidates):
 
     Like `embed`, it probes only servers that clear the request's least demand
     (node_fits needs free - used >= demand >= least); scanned counts every candidate.
+    The filter reads the candidates lazily, only as far as some scan has reached:
+    the live residuals it tests do not move while the request is placed.
     """
     cpu, memory, gpu = _demands(vnr)[2]
     cpu_free, memory_free, gpu_free = net.cpu_free, net.memory_free, net.gpu_free
-    kept = [
-        (scanned, pid) for scanned, pid in enumerate(candidates, 1)
-        if cpu_free[pid] >= cpu and memory_free[pid] >= memory and gpu_free[pid] >= gpu
-    ]
+    kept = []  # (scanned, pid) of each filtered candidate read so far, in order
+    unread = enumerate(candidates, 1)
 
     def choose(scratch, vid):
         for scanned, pid in kept:
             if scratch.node_fits(vid, pid):
                 return pid, scanned
+        for scanned, pid in unread:
+            if cpu_free[pid] >= cpu and memory_free[pid] >= memory and gpu_free[pid] >= gpu:
+                kept.append((scanned, pid))
+                if scratch.node_fits(vid, pid):
+                    return pid, scanned
         return None, len(candidates)
 
     return choose
@@ -96,22 +101,34 @@ def first_fit(
 def best_fit(
     net: PhysicalNetwork, vnr: Vnr, params: LocalEmbedParams | None = None
 ) -> LocalEmbedOutcome:
-    """Fitting substrate node with maximum effective residual CPU, ties by id."""
+    """Fitting substrate node with maximum effective residual CPU, ties by id.
+
+    Effective means less what this request placed there so far. The servers it
+    has not used are scanned by free cpu, most first, until the first that fits
+    or the first below the cpu demand; the pick is weighed against those it uses.
+    """
     params = params or LocalEmbedParams()
-    # what each node has free, less the demand this request placed on it so far
-    free = np.array([net.cpu_free, net.memory_free, net.gpu_free], dtype=np.int64)
+    cpu_free, memory_free, gpu_free = net.cpu_free, net.memory_free, net.gpu_free
+    demands = _demands(vnr)[1]
+    # a stable sort of the negated amounts orders by free cpu, most first, ties by id
+    by_cpu = np.argsort(-np.fromiter(cpu_free, np.int64, net.num_nodes), kind="stable").tolist()
 
     def choose(scratch, vid):
-        demand = vnr.nodes[vid].demand
-        fits = (free[0] >= demand.cpu_m) & (free[1] >= demand.memory_m) & (free[2] >= demand.gpu_m)
-        if params.injective:
-            fits[list(scratch.placement.values())] = False
-        if not fits.any():
-            return None, net.num_nodes
-        pid = int(np.where(fits, free[0], -1).argmax())  # the first maximum: ties by id
-        # a pick is placed or the request is rejected, so the column can move now
-        free[:, pid] -= (demand.cpu_m, demand.memory_m, demand.gpu_m)
-        return pid, net.num_nodes
+        cpu, memory, gpu = demands[vid]
+        usage = scratch.node_usage  # what this request placed on each server it uses
+        best = (-1, 0)  # (effective free cpu, -pid) of the best fit so far
+        for pid in by_cpu:
+            if cpu_free[pid] < cpu:  # nor does any later server hold the demand
+                break
+            if pid not in usage and memory_free[pid] >= memory and gpu_free[pid] >= gpu:
+                best = (cpu_free[pid], -pid)
+                break
+        for pid, (cpu_used, memory_used, gpu_used) in ({} if params.injective else usage).items():
+            free = cpu_free[pid] - cpu_used
+            if (free, -pid) > best and free >= cpu and memory_free[pid] - memory_used >= memory:
+                if gpu_free[pid] - gpu_used >= gpu:
+                    best = (free, -pid)
+        return (None if best[0] < 0 else -best[1]), net.num_nodes
 
     return _greedy_by_choice(net, vnr, params, choose)
 

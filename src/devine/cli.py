@@ -219,6 +219,10 @@ def cmd_compare(args) -> int:
         seeds = list(range(cfg.seed, cfg.seed + 10))
     if not algorithms or not seeds:
         raise ConfigError("--algorithms and --seeds must each name at least one value")
+    for flag, values in (("--algorithms", algorithms), ("--seeds", seeds)):
+        repeated = next((v for i, v in enumerate(values) if v in values[:i]), None)
+        if repeated is not None:  # each run would count twice in the aggregates
+            raise ConfigError(f"{flag} names {repeated} more than once")
     out = _out_dir(args)
     started = _now()
     rows, aggregates = compare_algorithms(cfg, algorithms, seeds)

@@ -192,17 +192,18 @@ def _mean(values: list[float]) -> float:
 
 
 def _utilization(net) -> tuple[float, float]:
-    """Mean used fraction of CPU across nodes and bandwidth across links."""
+    """Mean used fraction of CPU across nodes and bandwidth across links, 0 at 0 capacity."""
     cpu = 0.0
     for node, free in zip(net.nodes, net.cpu_free):
         cap = node.capacity.cpu_m
-        cpu += (cap - free) / cap
+        cpu += (cap - free) / cap if cap else 0.0
     cpu /= net.num_nodes
     if net.num_links == 0:
         return cpu, 0.0
     bw = 0.0
     for link, free in zip(net.links, net.bw_free):
-        bw += (link.bw_capacity_m - free) / link.bw_capacity_m
+        cap = link.bw_capacity_m
+        bw += (cap - free) / cap if cap else 0.0
     return cpu, bw / net.num_links
 
 

@@ -195,6 +195,35 @@ def test_compare_full_grid_row_count(tmp_path):
     assert len(comparison) == 13  # header + 4 algorithms x 3 seeds
 
 
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--algorithms", "firstfit,firstfit", "--seeds", "1,2"], "--algorithms names firstfit"),
+        (["--algorithms", "firstfit", "--seeds", "1,2,1"], "--seeds names 1 more than once"),
+    ],
+)
+def test_compare_rejects_a_repeated_algorithm_or_seed(tmp_path, capsys, flags, message):
+    # a repeat would run twice and count twice in the medians of aggregate.csv
+    argv = ["compare", *flags, "--servers", "5", "--duration", "10", "--out-dir", str(tmp_path)]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert "config error:" in err and message in err
+    assert not (tmp_path / "aggregate.csv").exists()
+
+
+@pytest.mark.parametrize("capacity, column", [
+    ("cpu_capacity", "cpu_utilization"), ("link_bandwidth", "link_utilization"),
+])
+def test_zero_capacities_count_as_unused(tmp_path, capacity, column):
+    # every capacity rounds to 0 milli-units, so no share of it can be used
+    config = {"generator": {"server_count": 5, capacity: [0.0001, 0.0], "resource_floor": 1e-6}}
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps({**config, "duration": 20}))
+    assert main(["run", "--config", str(config_path), "--out-dir", str(tmp_path / "out")]) == 0
+    header, *rows = _read_csv(tmp_path / "out" / "series.csv")
+    assert rows and {float(row[header.index(column)]) for row in rows} == {0.0}
+
+
 def test_config_errors_exit_1(tmp_path, capsys):
     cases = [
         ["run", "--algorithm", "neurovine", "--out-dir", str(tmp_path)],

@@ -19,8 +19,9 @@ reservations added up rather than by `cost_of` over its paths.  GRC builds its
 transition matrices from edge arrays, ranks a run's requests in one
 stacked iteration per request size, orders nodes by a stable argsort, and
 reuses a substrate rank while the residuals it ranked are unchanged.
-bestfit picks from one fit mask over an array of what is free; firstfit and
-GRC probe only the servers that clear a request's least demand.  Each must
+bestfit scans the servers sorted by free cpu until the first unused fit and
+weighs it against the servers the request uses; firstfit and GRC probe only
+the servers that clear a request's least demand, filtered lazily.  Each must
 give exactly what the whole-graph breadth-first search, the exhaustive path
 oracle, the one-sided search, the plain greedy loop, the scratch that maps every
 link, the loop-built rank, the
@@ -784,23 +785,68 @@ def crowded_networks(draw, max_nodes=7):
     )
 
 
-@settings(max_examples=300, deadline=None)
-@given(data=st.data())
-def test_best_fit_matches_the_scanning_chooser(data):
-    # several requests on one network, allocating and releasing between them,
-    # so each call reads residuals that earlier ones moved
-    net = data.draw(crowded_networks())
-    ledger = {}
-    live: list[int] = []
-    for rid in range(data.draw(st.integers(1, 6))):
-        vnr = data.draw(requests(request_id=rid, amount=st.sampled_from((0, 0, 5, 10))))
-        params = LocalEmbedParams(
-            path_hop_limit=data.draw(st.none() | st.integers(0, 3)),
-            injective=data.draw(st.booleans()),
-        )
-        outcome = best_fit(net, vnr, params)
-        assert outcome == oracles.best_fit(net, vnr, params)
-        _keep(net, ledger, live, vnr, outcome, params)
+def _best_fit_branches(net, demand, usage, injective, pid) -> set[str]:
+    """The branches of best_fit's sorted scan that a choice of `pid` took."""
+    frees = (net.cpu_free, net.memory_free, net.gpu_free)
+
+    def fits(p, used=(0, 0, 0)):
+        return all(free[p] - u >= d for free, u, d in zip(frees, used, demand))
+
+    by_cpu = sorted(range(net.num_nodes), key=lambda p: (-net.cpu_free[p], p))
+    unused = [p for p in by_cpu if p not in usage and fits(p)]
+    used = [] if injective else [net.cpu_free[p] - u[0] for p, u in usage.items() if fits(p, u)]
+    branches = set()
+    if unused and pid in usage:
+        branches.add("a used server beat the first unused fit")
+    if unused and net.cpu_free[unused[0]] in used:
+        branches.add("a used and an unused server tied on effective cpu")
+    if unused and net.cpu_free[unused[0]] == demand[0]:
+        branches.add("the scan picked an exact cpu fit")
+    if not unused and min(net.cpu_free, default=0) < demand[0]:
+        branches.add("the scan stopped at the cpu cutoff without a pick")
+    ahead = by_cpu[: by_cpu.index(pid)] if pid is not None else []
+    if injective and any(p in usage and fits(p) for p in ahead):
+        branches.add("an injective pick skipped a used server that fits")
+    return branches
+
+
+def test_best_fit_matches_the_scanning_chooser():
+    counts = Counter()
+    greedy = baselines._greedy_by_choice
+
+    def observed(net, vnr, params, choose, order=None):
+        def recording(scratch, vid):
+            usage = {p: tuple(used) for p, used in scratch.node_usage.items()}
+            pid, scanned = choose(scratch, vid)
+            demand = vnr.nodes[vid].demand
+            demand = (demand.cpu_m, demand.memory_m, demand.gpu_m)
+            counts.update(_best_fit_branches(net, demand, usage, params.injective, pid))
+            return pid, scanned
+
+        return greedy(net, vnr, params, recording, order)
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def check(data):
+        # several requests on one network, allocating and releasing between them,
+        # so each call reads residuals that earlier ones moved
+        net = data.draw(crowded_networks())
+        ledger = {}
+        live: list[int] = []
+        for rid in range(data.draw(st.integers(1, 6))):
+            vnr = data.draw(requests(request_id=rid, amount=st.sampled_from((0, 0, 5, 10))))
+            params = LocalEmbedParams(
+                path_hop_limit=data.draw(st.none() | st.integers(0, 3)),
+                injective=data.draw(st.booleans()),
+            )
+            with mock.patch.object(baselines, "_greedy_by_choice", observed):
+                outcome = best_fit(net, vnr, params)
+            assert outcome == oracles.best_fit(net, vnr, params)
+            _keep(net, ledger, live, vnr, outcome, params)
+
+    check()
+    # each branch of the scan decided some choice
+    assert len(counts) == 5, counts
 
 
 @st.composite
@@ -827,12 +873,26 @@ def _grc(net, vnr, params):
     return grc_embed(net, vnr, None, params)
 
 
-def _same_first_fits(net, vnr, params) -> bool:
+class _Reads(list):
+    """A candidate list that counts the entries its iterators hand out."""
+
+    read = 0
+
+    def __iter__(self):
+        for pid in super().__iter__():
+            self.read += 1
+            yield pid
+
+
+def _same_first_fits(net, vnr, params) -> set[str]:
     """Check first_fit and grc_embed against themselves on the unfiltered chooser.
 
-    True when the filter dropped a server that the chooser probed before a pick.
+    Returns "dropped before a pick" when the filter dropped a server that the
+    chooser probed before a pick, and "stopped early" when the filter had not
+    read all the candidates by the end of a request.
     """
     probed: list[int] = []
+    flags = set()
 
     def unfiltered(net, vnr, candidates):
         choose = oracles.first_fitting(candidates)
@@ -845,16 +905,27 @@ def _same_first_fits(net, vnr, params) -> bool:
 
         return recording
 
+    def reading(net, vnr, candidates):
+        reads.append(_Reads(candidates))
+        return first_fitting(net, vnr, reads[-1])
+
+    first_fitting = baselines._first_fitting
     for embedder in (first_fit, _grc):
         with mock.patch.object(baselines, "_first_fitting", unfiltered):
             want = embedder(net, vnr, params)
-        got = embedder(net, vnr, params)
+        reads: list[_Reads] = []
+        with mock.patch.object(baselines, "_first_fitting", reading):
+            got = embedder(net, vnr, params)
         assert got == want  # mapping, paths, metric and inspected count
         _assert_priced_from_its_paths(vnr, got, params)
+        if any(r.read < len(r) for r in reads):
+            flags.add("stopped early")
     demands = [node.demand for node in vnr.nodes]
     least = [min(column) for column in zip(*((d.cpu_m, d.memory_m, d.gpu_m) for d in demands))]
     frees = (net.cpu_free, net.memory_free, net.gpu_free)
-    return any(free[pid] < floor for pid in probed for free, floor in zip(frees, least))
+    if any(free[pid] < floor for pid in probed for free, floor in zip(frees, least)):
+        flags.add("dropped before a pick")
+    return flags
 
 
 def test_first_fitting_matches_the_unfiltered_chooser():
@@ -874,12 +945,13 @@ def test_first_fitting_matches_the_unfiltered_chooser():
                 path_hop_limit=data.draw(st.none() | st.integers(0, 3)),
                 injective=data.draw(st.booleans()),
             )
-            counts["dropped before a pick"] += _same_first_fits(net, vnr, params)
+            counts.update(_same_first_fits(net, vnr, params))
             _keep(net, ledger, live, vnr, first_fit(net, vnr, params), params)
 
     check()
-    # the filter had work to do: some pick came after a server it dropped
-    assert counts["dropped before a pick"], counts
+    # the filter had work to do: some pick came after a server it dropped,
+    # and it read no further than the scans reached
+    assert counts["dropped before a pick"] and counts["stopped early"], counts
     # whatever the draws: the empty substrate, and one-node and two-node
     # requests whose picks follow a server below their least cpu demand
     one_node = Vnr(0, [VirtualNode(0, ResourceVector(5, 5, 5))], [], 0.0, 1.0)
@@ -895,8 +967,8 @@ def test_first_fitting_matches_the_unfiltered_chooser():
     for injective in (False, True):
         params = LocalEmbedParams(injective=injective)
         assert not _same_first_fits(PhysicalNetwork([], []), one_node, params)
-        assert _same_first_fits(loaded, one_node, params)
-        assert _same_first_fits(loaded, pair, params)
+        assert _same_first_fits(loaded, one_node, params) == {"dropped before a pick", "stopped early"}
+        assert "dropped before a pick" in _same_first_fits(loaded, pair, params)
 
 
 def _ring(n, cpu, bw):
