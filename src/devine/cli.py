@@ -20,6 +20,7 @@ from .generator import GenerationError
 from .simulation import (
     ALGORITHMS,
     ArrivalRecord,
+    RepeatedRunError,
     SeriesSample,
     SimConfig,
     compare_algorithms,
@@ -219,13 +220,12 @@ def cmd_compare(args) -> int:
         seeds = list(range(cfg.seed, cfg.seed + 10))
     if not algorithms or not seeds:
         raise ConfigError("--algorithms and --seeds must each name at least one value")
-    for flag, values in (("--algorithms", algorithms), ("--seeds", seeds)):
-        repeated = next((v for i, v in enumerate(values) if v in values[:i]), None)
-        if repeated is not None:  # each run would count twice in the aggregates
-            raise ConfigError(f"{flag} names {repeated} more than once")
     out = _out_dir(args)
     started = _now()
-    rows, aggregates = compare_algorithms(cfg, algorithms, seeds)
+    try:
+        rows, aggregates = compare_algorithms(cfg, algorithms, seeds)
+    except RepeatedRunError as exc:  # its message names the parameter, the flag's name
+        raise ConfigError(f"--{exc}") from exc
     _write_csv(out / "comparison.csv", COMPARISON_COLUMNS, rows)
     header = list(aggregates[0])
     _write_csv(out / "aggregate.csv", header, aggregates)

@@ -173,6 +173,7 @@ def allocate(
         net.gpu_free[pid] -= gpu_m
     for link_idx, bw_m in entry.link_deltas.items():
         net.bw_free[link_idx] -= bw_m
+    net.bw_moved.update(entry.link_deltas)
     ledger[vnr.request_id] = entry
 
 
@@ -200,6 +201,7 @@ def release(net: PhysicalNetwork, request_id: int, ledger: dict[int, LedgerEntry
         net.gpu_free[pid] += gpu_m
     for link_idx, bw_m in entry.link_deltas.items():
         net.bw_free[link_idx] += bw_m
+    net.bw_moved.update(entry.link_deltas)
 
 
 def conservation_violations(net: PhysicalNetwork, ledger: dict[int, LedgerEntry]) -> list[str]:

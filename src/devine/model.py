@@ -11,8 +11,6 @@ import hashlib
 import math
 from dataclasses import dataclass, field
 
-import numpy as np
-
 SCALE = 1000  # fixed-point denominator, 3 decimal places
 
 
@@ -125,10 +123,21 @@ class Walk:
         return len(order) > start
 
     def reach(self, node: int) -> int:
-        """node's depth, grown until it has one; -1 once the root's component is exhausted."""
-        depth = self.depth
-        while depth[node] < 0 and self.grow():
-            pass
+        """node's depth, grown until it has one; -1 once the root's component is exhausted.
+
+        `grow`'s expansions in one loop: it stops where repeated `grow()` calls would.
+        """
+        order, depth, neighbors = self.order, self.depth, self._neighbors
+        expanded = self._expanded
+        while depth[node] < 0 and expanded < len(order):
+            here = order[expanded]
+            expanded += 1
+            below = depth[here] + 1
+            for nb in neighbors[here]:
+                if depth[nb] < 0:
+                    depth[nb] = below
+                    order.append(nb)
+        self._expanded = expanded
         return depth[node]
 
 
@@ -171,8 +180,9 @@ class PhysicalNetwork:
         self.adjacency = _build_adjacency(len(nodes), links)
         self._neighbors = [sorted(nbs) for nbs in self.adjacency]
         self._walks: list[Walk | None] = [None] * len(nodes)
-        self._endpoints: tuple[np.ndarray, np.ndarray] | None = None
         self.grc_rank_memo: tuple | None = None  # baselines.grc_rank's (params, cpu, bw, rank)
+        self.grc_transition = None  # baselines.grc_rank's kept transition matrix
+        self.bw_moved: set[int] = set()  # links allocate and release wrote since it was refilled
 
     @property
     def num_nodes(self) -> int:
@@ -193,14 +203,6 @@ class PhysicalNetwork:
             walk = self._walks[root] = Walk(root, self._neighbors)
         return walk
 
-    def link_endpoints(self) -> tuple[np.ndarray, np.ndarray]:
-        """Read-only intp arrays (u, v) of every link's ends; built once, the topology is static."""
-        if self._endpoints is None:
-            u = np.array([link.u for link in self.links], dtype=np.intp)
-            v = np.array([link.v for link in self.links], dtype=np.intp)
-            u.flags.writeable = v.flags.writeable = False
-            self._endpoints = u, v
-        return self._endpoints
 
 
 @dataclass(slots=True)

@@ -45,6 +45,10 @@ class SimulationError(RuntimeError):
     """Raised on invalid configuration or a broken run-time invariant."""
 
 
+class RepeatedRunError(ValueError):
+    """An algorithm or a seed named twice in one comparison."""
+
+
 @dataclass
 class SimConfig:
     """Everything one run needs: workload, algorithm, horizon, seed."""
@@ -355,11 +359,16 @@ def compare_algorithms(
 ) -> tuple[list[dict], list[dict]]:
     """Cross product of algorithms and seeds on identical workloads.
 
-    Returns per-run summary rows and per-algorithm aggregates. Raises if any
-    two algorithms saw different workloads for the same seed.
+    Returns per-run summary rows and per-algorithm aggregates. Raises
+    RepeatedRunError, before any run, if either list names a value twice, and
+    SimulationError if any two algorithms saw different workloads for one seed.
     """
     if not algorithms or not seeds:
         raise ValueError("need at least one algorithm and one seed")
+    for name, values in (("algorithms", algorithms), ("seeds", seeds)):
+        repeated = next((v for i, v in enumerate(values) if v in values[:i]), None)
+        if repeated is not None:  # each run would count twice in the aggregates
+            raise RepeatedRunError(f"{name} names {repeated} more than once")
     rows = []
     for seed in seeds:
         digests = {}

@@ -1,5 +1,6 @@
 import math
 from dataclasses import replace
+from unittest import mock
 
 import pytest
 
@@ -202,6 +203,18 @@ def test_compare_algorithms_rows_and_aggregates():
         compare_algorithms(cfg, [], [1])
     with pytest.raises(ValueError):
         compare_algorithms(cfg, ["devine"], [])
+
+
+@pytest.mark.parametrize("algorithms, seeds, message", [
+    (["firstfit", "firstfit"], [1, 2], "algorithms names firstfit more than once"),
+    (["devine", "grc"], [3, 1, 3], "seeds names 3 more than once"),
+])
+def test_compare_algorithms_rejects_a_repeat_before_any_run(algorithms, seeds, message):
+    # a repeat would run twice and count twice in its aggregate's runs and medians
+    with mock.patch.object(simulation, "run_simulation") as run:
+        with pytest.raises(ValueError, match=message):
+            compare_algorithms(_small_cfg(), algorithms, seeds)
+    assert not run.called
 
 
 def test_acceptance_does_not_rise_with_offered_load():
