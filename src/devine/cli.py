@@ -194,6 +194,8 @@ def cmd_run(args) -> int:
                 text = trace.to_jsonl()
                 if text:
                     fh.write(text + "\n")
+    else:  # an earlier devine run's trace would pass for this run's
+        (out / "trace.jsonl").unlink(missing_ok=True)
     s = result.summary
     print(
         f"{s['algorithm']} seed={s['seed']}: "

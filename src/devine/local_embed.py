@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .embedding import EmbeddingSolution, metric_of
+from .embedding import EmbeddingSolution, metric_of, revenue_of
 from .model import PhysicalNetwork, Vnr, from_milli, require_finite
 
 INFEASIBLE = float("-inf")
@@ -85,7 +85,7 @@ def _demands(vnr: Vnr) -> tuple:
             weight[link.v] += link.bw_demand_m
         order = tuple(sorted(range(vnr.num_nodes), key=lambda vid: (-weight[vid], vid)))
         totals = tuple(map(sum, zip(*demands)))
-        revenue = from_milli(totals[0] + sum(link.bw_demand_m for link in vnr.links))  # revenue_of
+        revenue = revenue_of(vnr)
         vnr.demand_order_memo = (order, demands, _least_demand(demands, order), totals, revenue)
     return vnr.demand_order_memo
 
@@ -389,8 +389,10 @@ def embed(
     max_depth = 0
     priced_m = 0  # the committed cost the floor was last checked at
     while remaining and inspected < budget:
-        if inspected == len(order) and not walk.grow():
-            break
+        if inspected == len(order):
+            walk.reach(root, inspected)  # one more node, unless the component is exhausted
+            if inspected == len(order):
+                break
         here = order[inspected]
         depth = depths[here]
         if depth > beta:

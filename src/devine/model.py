@@ -107,29 +107,15 @@ class Walk:
         self._expanded = 0  # order[:_expanded] have had their neighbors queued
         self._neighbors = neighbors
 
-    def grow(self) -> bool:
-        """Append at least one more node; False when the root's component is exhausted."""
-        order = self.order
-        depth = self.depth
-        start = len(order)
-        while len(order) == start and self._expanded < start:
-            here = order[self._expanded]
-            self._expanded += 1
-            below = depth[here] + 1
-            for nb in self._neighbors[here]:
-                if depth[nb] < 0:
-                    depth[nb] = below
-                    order.append(nb)
-        return len(order) > start
+    def reach(self, node: int, size: int = 0) -> int:
+        """node's depth, grown until it has one and `order` lists more than `size` nodes.
 
-    def reach(self, node: int) -> int:
-        """node's depth, grown until it has one; -1 once the root's component is exhausted.
-
-        `grow`'s expansions in one loop: it stops where repeated `grow()` calls would.
+        -1 once the root's component is exhausted.  The root's depth is 0, so
+        `reach(root, k)` only grows the walk past k nodes, as far as it goes.
         """
         order, depth, neighbors = self.order, self.depth, self._neighbors
         expanded = self._expanded
-        while depth[node] < 0 and expanded < len(order):
+        while (depth[node] < 0 or len(order) <= size) and expanded < len(order):
             here = order[expanded]
             expanded += 1
             below = depth[here] + 1

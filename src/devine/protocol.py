@@ -7,8 +7,8 @@ and overwrites one that does not, and a leader that receives its own proposal
 back has won and circulates the final solution.  Proposals are ordered by
 (metric, -node id), so equal metrics resolve toward the lowest node id.  The
 ring here never loses, delays or reorders a message, so every delivery is a
-function of the running best proposal in ring order, and the election is one
-pass over the ring that records the messages the protocol would deliver.
+function of the running best proposal in ring order: the election is one
+pass over the ring, and its trace builds the messages from that pass when read.
 Each leader embeds with the best key of the leaders before it as a floor and
 stops once it cannot beat it (see `local_embed.embed`): such a leader's
 proposal would be overwritten at the next hop and never reach the trace, so
@@ -76,25 +76,32 @@ class TraceEvent:
 
 
 class ElectionTrace:
-    """Ordered log of every delivered message in one election."""
+    """Every message one election delivers, built from the ring when read.
 
-    def __init__(self, request_id: int):
+    `carried[i]` is the ring position of the best of members[:i + 1] and
+    `metrics[i]` is members[i]'s metric, None when infeasible.  Message i runs
+    from members[i % L] to members[(i + 1) % L] carrying the best proposal of
+    the leaders it has passed: the winner's proposal leaves it on hop
+    `carried[-1]` and is home L hops later, then the winner's announcement
+    circles the ring once.  A ring of one delivers nothing.
+    """
+
+    def __init__(self, request_id: int, members: tuple[int, ...], carried: list[int],
+                 metrics: list[float | None]):
         self.request_id = request_id
-        self.events: list[TraceEvent] = []
-        self.embedding_count = 0
-        self.embedded_count = 0
+        self.members, self.carried, self.metrics = members, carried, metrics
+        self.embedded_count = len(members) if len(members) > 1 else 0
+        self.embedding_count = carried[-1] + self.embedded_count  # a ring of one: 0 + 0
 
-    def record(
-        self, kind: str, sender: int, receiver: int, subject: int, metric: float | None
-    ) -> None:
-        if kind == "EMBEDDING":
-            self.embedding_count += 1
-        else:
-            self.embedded_count += 1
-        self.events.append(TraceEvent(
-            len(self.events), self.request_id, kind, sender, receiver, subject,
-            None if metric == INFEASIBLE else metric,
-        ))
+    @property
+    def events(self) -> list[TraceEvent]:
+        members, size, events = self.members, len(self.members), []
+        for seq in range(self.embedding_count + self.embedded_count):
+            src = self.carried[min(seq, size - 1)]  # from hop L - 1 on, the winner
+            kind = "EMBEDDING" if seq < self.embedding_count else "EMBEDDED"
+            events.append(TraceEvent(seq, self.request_id, kind, members[seq % size],
+                                     members[(seq + 1) % size], members[src], self.metrics[src]))
+        return events
 
     def to_jsonl(self) -> str:
         return "\n".join(
@@ -155,28 +162,15 @@ def run_election(
         def embedder(nid: int) -> LocalEmbedOutcome:
             return embed(nid, net, vnr, params, floor=best_key)
 
-    members, size = ring.members, len(ring.members)
-    outcomes, carried = [], []  # carried[i]: ring position of the best of members[:i + 1]
+    members = ring.members
+    outcomes, carried, metrics = [], [], []  # carried and metrics as ElectionTrace keeps them
     for pos, nid in enumerate(members):
         outcomes.append(embedder(nid))
-        key = _key(nid, outcomes[pos].metric())
+        metric = outcomes[pos].metric()
+        key = _key(nid, metric)
         if pos == 0 or key > best_key:
             best, best_key = pos, key
         carried.append(best)
-
-    trace = ElectionTrace(vnr.request_id)
-    if size > 1:
-        # hop i runs from members[i % L] to members[(i + 1) % L] carrying the
-        # best proposal of the leaders it has passed; the winner's proposal
-        # leaves it on hop `best` and is home L hops later, then the winner's
-        # announcement circles the ring once
-        for i in range(best + size):
-            src = carried[min(i, size - 1)]
-            trace.record("EMBEDDING", members[i % size], members[(i + 1) % size],
-                         members[src], outcomes[src].metric())
-        solution = outcomes[best].solution
-        metric = solution.metric if solution is not None else None
-        for i in range(best, best + size):
-            trace.record("EMBEDDED", members[i % size], members[(i + 1) % size],
-                         members[best], metric)
+        metrics.append(None if metric == INFEASIBLE else metric)
+    trace = ElectionTrace(vnr.request_id, members, carried, metrics)
     return ElectionResult(outcomes[best], trace, members[best], ring)

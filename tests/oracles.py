@@ -25,13 +25,16 @@ sets in place of the bitmask search.  `build_workload` draws each primary
 with its own scalar call, where the package draws them all in one.
 `message_election` is the message-passing ring that the one-pass election
 replaced: each leader reacts to the message it receives, delivery by
-delivery, and the trace logs what was delivered.
+delivery, and a `MessageLog` of its own logs what was delivered, where the
+package builds its trace from the ring-order running best when read.
 """
 
 from __future__ import annotations
 
+import json
 import math
 from collections import deque
+from dataclasses import asdict, dataclass
 from itertools import combinations, product
 
 import numpy as np
@@ -55,7 +58,6 @@ from devine import (
 )
 from devine.baselines import _greedy_by_choice
 from devine.local_embed import _Scratch
-from devine.protocol import ElectionTrace, TraceEvent
 
 
 def simple_paths(net, src, dst, bw_demand_m, reserved=None, max_hops=None):
@@ -363,8 +365,34 @@ def build_workload(cfg, duration, seed):
         workload.append((now, vnr, int(primary_rng.integers(cfg.server_count))))
 
 
+@dataclass
+class Delivery:
+    """One message the reference ring delivered, field by field as a trace event."""
+
+    seq: int
+    request_id: int
+    kind: str
+    sender: int
+    receiver: int
+    subject: int
+    metric: float | None
+
+
+class MessageLog:
+    """The reference ring's deliveries in order, counted by kind, and as JSON lines."""
+
+    def __init__(self):
+        self.events = []
+        self.embedding_count = self.embedded_count = 0
+
+    def to_jsonl(self):
+        return "\n".join(
+            json.dumps(asdict(e), sort_keys=True, allow_nan=False) for e in self.events
+        )
+
+
 def message_election(ring, outcomes, request_id):
-    """Chang & Roberts' ring over fixed local embeddings: (winner, its outcome, trace).
+    """Chang & Roberts' ring over fixed local embeddings: (winner, its outcome, MessageLog).
 
     `outcomes` maps each leader to its LocalEmbedOutcome.  A message is
     (kind, subject, metric); proposals rank by (metric, -originator), with NaN
@@ -378,21 +406,21 @@ def message_election(ring, outcomes, request_id):
 
     members = ring.members
     successor = {node: members[(i + 1) % len(members)] for i, node in enumerate(members)}
-    trace = ElectionTrace(request_id)
+    log = MessageLog()
     winner = ring.primary
     if len(members) == 1:
-        return winner, outcomes[winner], trace
+        return winner, outcomes[winner], log
     sender, msg = ring.primary, ("EMBEDDING", ring.primary, outcomes[ring.primary].metric())
     while msg is not None:
-        assert len(trace.events) < 3 * len(members), "the ring did not stop"
+        assert len(log.events) < 3 * len(members), "the ring did not stop"
         receiver = successor[sender]
         kind, subject, metric = msg
-        trace.events.append(TraceEvent(
-            len(trace.events), request_id, kind, sender, receiver, subject,
+        log.events.append(Delivery(
+            len(log.events), request_id, kind, sender, receiver, subject,
             None if metric == INFEASIBLE else metric,
         ))
         if kind == "EMBEDDING":
-            trace.embedding_count += 1
+            log.embedding_count += 1
             own = outcomes[receiver]
             if subject == receiver:
                 solution = own.solution
@@ -400,12 +428,12 @@ def message_election(ring, outcomes, request_id):
             elif rank(receiver, own.metric()) > rank(subject, metric):
                 msg = ("EMBEDDING", receiver, own.metric())
         else:
-            trace.embedded_count += 1
+            log.embedded_count += 1
             winner = subject
             if receiver == subject:
                 msg = None
         sender = receiver
-    return winner, outcomes[winner], trace
+    return winner, outcomes[winner], log
 
 
 def residual_snapshot(net):

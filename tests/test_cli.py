@@ -128,6 +128,15 @@ def test_baseline_run_skips_the_trace_file(tmp_path):
     assert summary["embedding_messages"] == 0
 
 
+def test_baseline_run_removes_an_earlier_devine_trace(tmp_path):
+    assert main(["run", *_base_flags(tmp_path)]) == 0
+    assert (tmp_path / "trace.jsonl").read_text()
+    assert main(["run", "--algorithm", "grc", *_base_flags(tmp_path)]) == 0
+    # the directory now holds grc's outputs only, with no trace beside them
+    assert json.loads((tmp_path / "summary.json").read_text())["algorithm"] == "grc"
+    assert not (tmp_path / "trace.jsonl").exists()
+
+
 def test_repeat_runs_are_byte_identical(tmp_path):
     a, b = tmp_path / "a", tmp_path / "b"
     assert main(["run", *_base_flags(a)]) == 0

@@ -459,9 +459,12 @@ def test_walk_depths_are_true_from_any_source_order_and_give_the_blind_path():
             for src in data.draw(st.permutations(range(net.num_nodes))):
                 level = walk.reach(src)
                 assert level == whole[src]
-                # reach expands in one loop exactly as far as repeated grow() calls do
-                while grown.depth[src] < 0 and grown.grow():
-                    pass
+                # reach(src) stops where growing one more node at a time would
+                while grown.depth[src] < 0:
+                    known = len(grown.order)
+                    grown.reach(dst, known)  # dst has depth 0, so only the size binds
+                    if len(grown.order) == known:
+                        break  # the component is exhausted: src is cut off
                 assert (walk.order, walk.depth, walk._expanded) == (
                     grown.order, grown.depth, grown._expanded
                 )
@@ -768,8 +771,7 @@ def test_cached_walks_serve_every_root_and_depth_across_calls():
     for root in range(net.num_nodes):
         full = twin.walk(root)
         assert full.order == [root]  # a new network starts without cached walks
-        while full.grow():
-            pass
+        full.reach(root, net.num_nodes)  # the whole component
         cached = net.walk(root)
         assert cached.order == full.order[: len(cached.order)]
         assert cached.depth == [full.depth[v] if v in cached.order else -1 for v in range(8)]

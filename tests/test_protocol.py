@@ -1,6 +1,7 @@
 import json
 import math
 from collections import Counter
+from dataclasses import asdict
 from unittest import mock
 
 import numpy as np
@@ -377,8 +378,9 @@ def test_one_pass_election_matches_the_message_passing_ring(election):
     assert result.outcome is outcome
     assert result.trace.embedding_count == trace.embedding_count
     assert result.trace.embedded_count == trace.embedded_count
-    # repr, so that a NaN metric compares equal to itself
-    assert [repr(e) for e in result.trace.events] == [repr(e) for e in trace.events]
+    # field by field, through repr so that a NaN metric compares equal to itself
+    fields = [repr(asdict(e)) for e in result.trace.events]
+    assert fields == [repr(asdict(e)) for e in trace.events]
 
 
 @st.composite

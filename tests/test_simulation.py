@@ -157,6 +157,18 @@ def test_election_message_accounting_per_arrival():
     assert len(result.traces) == 10  # default trace_sample
 
 
+def test_an_election_builds_its_trace_events_only_when_read(monkeypatch):
+    event, built = protocol.TraceEvent, []
+    monkeypatch.setattr(protocol, "TraceEvent", lambda *args: built.append(args) or event(*args))
+    result = run_simulation(_small_cfg(trace_sample=0))
+    assert result.summary["embedding_messages"] > 0 and built == []
+    result = run_simulation(_small_cfg(trace_sample=3))
+    assert len(result.traces) == 3 and built == []
+    lines = sum(len(trace.to_jsonl().splitlines()) for trace in result.traces)
+    assert len(built) == lines == sum(t.embedding_count + t.embedded_count for t in result.traces)
+    assert lines < result.summary["embedding_messages"]  # the other elections built none
+
+
 def test_baselines_run_message_free():
     for algorithm in ("firstfit", "bestfit", "grc"):
         result = run_simulation(_small_cfg(algorithm=algorithm))
