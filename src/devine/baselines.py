@@ -144,41 +144,80 @@ def _pattern(u: np.ndarray, v: np.ndarray, n: int, size: int) -> tuple:
     return flat, ends, np.bincount(ends, minlength=size)
 
 
-def _fill(transition: np.ndarray, pattern: tuple, w2: np.ndarray) -> None:
-    """Write a column-stochastic transition at `_pattern`'s places; w2 is each edge weight twice."""
-    flat, ends, degree = pattern
+def _fill(values: np.ndarray, pattern: tuple, w2: np.ndarray) -> None:
+    """Write a column-stochastic transition at `pattern`'s places in the flat `values`;
+    w2 is each edge weight twice, in `_pattern`'s order."""
+    at, ends, degree = pattern
     # weights are whole milli-units, so these sums are exact in any order
     col_sums = np.bincount(ends, w2, len(degree))
     drained = col_sums == 0
     if drained.any():  # a drained column holds 1/degree for each neighbor instead of w/col_sum
         col_sums[drained] = degree[drained]
         w2 = np.where(drained[ends], 1.0, w2)
-    transition.reshape(-1)[flat] = w2 / col_sums[ends]
+    values[at] = w2 / col_sums[ends]
+
+
+# A substrate whose transition holds fewer than one nonzero in _SPARSE_K
+# entries ranks by a step gathered over its links, else by a dense gemv.
+# Measured per step with numpy alone (medians, 2-vCPU host, OpenBLAS), the
+# gathered step matches gemv at n*n/nnz of about 37 for n=200, 24 for n=300
+# and 21 for n=400, and beats it below 16 at n=500, where the matrix leaves
+# the cache: at n=400 and n*n/nnz = 32 it takes 14.9 against 18.9 us, at 16
+# 23.5 against 18.0 us, and at n=100 p=0.4 (2.5) 10.4 against 2.0 us.
+_SPARSE_K = 24
+
+
+class _Gathered:
+    """A sparse transition: a value per entry, each entry's column and each row's start.
+
+    `keys` are the entries' flat indices, sorted, at least one in each row,
+    since `reduceat` cannot sum an empty one; `transition @ rank` sums each
+    row's values times the rank at their columns.
+    """
+
+    __slots__ = ("values", "cols", "starts")
+
+    def __init__(self, keys: np.ndarray, n: int):
+        self.values = np.zeros(len(keys))
+        self.cols, self.starts = keys % n, np.searchsorted(keys, np.arange(n) * n)
+
+    def __matmul__(self, rank: np.ndarray) -> np.ndarray:
+        return np.add.reduceat(self.values * rank[self.cols], self.starts)
 
 
 class _KeptTransition:
-    """A substrate's transition matrix, kept across ranks, and the bandwidth it was filled from.
+    """A substrate's transition, kept across ranks, and the bandwidth it was filled from.
 
-    The matrix starts on a 32-byte boundary, where OpenBLAS's gemv gives the
-    same bytes as anywhere else and takes 30% less time at n=400. `bw` copies
-    `bw_free` as of the last fill, and `w2` holds it as floats, twice.
+    `matrix` is `_Gathered` below one nonzero in `_SPARSE_K` entries, else an
+    (n, n) array on a 32-byte boundary, where OpenBLAS's gemv gives the same
+    bytes as anywhere else and takes 30% less time at n=400; `values` is where
+    `_fill` writes it. `bw` copies `bw_free` as of the last fill, and `w2`
+    holds it as floats, twice.
     """
 
-    __slots__ = ("matrix", "pattern", "bw", "w2")
+    __slots__ = ("matrix", "values", "pattern", "bw", "w2")
 
     def __init__(self, net: PhysicalNetwork):
         n = net.num_nodes
-        raw = np.zeros(n * n + 3)  # numpy data is 8-byte aligned, so at most 3 floats from 32
-        start = -raw.ctypes.data % 32 // 8
-        self.matrix = raw[start : start + n * n].reshape(n, n)
         u = np.array([link.u for link in net.links], dtype=np.intp)
         v = np.array([link.v for link in net.links], dtype=np.intp)
-        self.pattern = _pattern(u, v, n, n)
+        flat, ends, degree = _pattern(u, v, n, n)
+        if _SPARSE_K * len(flat) < n * n:
+            # row-major, each row's columns ascending; a 0 at (j, 0) for each node j without links
+            keys = np.sort(np.concatenate((flat, np.flatnonzero(degree == 0) * n)))
+            self.matrix = _Gathered(keys, n)
+            self.values, flat = self.matrix.values, np.searchsorted(keys, flat)
+        else:
+            raw = np.zeros(n * n + 3)  # numpy data is 8-byte aligned, so at most 3 floats from 32
+            start = -raw.ctypes.data % 32 // 8
+            self.values = raw[start : start + n * n]
+            self.matrix = self.values.reshape(n, n)
+        self.pattern = (flat, ends, degree)
         self.bw = list(net.bw_free)
         self.w2 = np.array(self.bw + self.bw, dtype=float)
 
 
-def _refilled(net: PhysicalNetwork) -> np.ndarray:
+def _refilled(net: PhysicalNetwork) -> np.ndarray | _Gathered:
     """The network's kept transition matrix, refilled in place from the live `bw_free`.
 
     Only the links that allocate and release recorded in `bw_moved` are read
@@ -193,11 +232,13 @@ def _refilled(net: PhysicalNetwork) -> np.ndarray:
     if kept is None or kept.bw != bw_free:
         kept = net.grc_transition = _KeptTransition(net)
     net.bw_moved.clear()
-    _fill(kept.matrix, kept.pattern, kept.w2)
+    _fill(kept.values, kept.pattern, kept.w2)
     return kept.matrix
 
 
-def _power_rank(weights: np.ndarray, transition: np.ndarray, params: GrcParams) -> np.ndarray:
+def _power_rank(
+    weights: np.ndarray, transition: np.ndarray | _Gathered, params: GrcParams
+) -> np.ndarray:
     """Damped fixed point r = (1-d)*c + d*T*r of a column-stochastic (n, n) transition T.
 
     c is `weights` normalized to sum 1, or uniform when they sum to 0.
@@ -243,8 +284,8 @@ _STACK_ENTRIES = 1 << 20  # the most transition-matrix entries one stack of requ
 def _stacked_rank(vnrs: list[Vnr], n: int, params: GrcParams) -> np.ndarray:
     """`_power_rank` of each n-node request, a row each, by one stacked iteration.
 
-    Each step runs `_power_rank`'s BLAS kernel per request, so each row has its
-    bytes; a request that settles keeps that step's ranks and leaves the stack.
+    Each step runs the dense `_power_rank`'s BLAS kernel per request, so each row
+    has its bytes; a request that settles keeps that step's ranks and leaves the stack.
     """
     weights = np.array([[node.demand.cpu_m for node in r.nodes] for r in vnrs], dtype=float)
     total = weights.sum(axis=1)[:, None]
@@ -255,7 +296,7 @@ def _stacked_rank(vnrs: list[Vnr], n: int, params: GrcParams) -> np.ndarray:
     u, v, w = np.array(edges, dtype=float).reshape(-1, 3).T
     transition = np.zeros((len(vnrs), n, n))
     pattern = _pattern(u.astype(np.intp), v.astype(np.intp), n, len(vnrs) * n)
-    _fill(transition, pattern, np.concatenate((w, w)))
+    _fill(transition.reshape(-1), pattern, np.concatenate((w, w)))
     teleport = (1.0 - params.damping) * c
     rank, ranks, live = c, np.empty_like(c), np.arange(len(vnrs))
     for _ in range(params.max_iterations):

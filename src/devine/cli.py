@@ -211,8 +211,6 @@ def cmd_run(args) -> int:
 def cmd_compare(args) -> int:
     cfg = resolve_config(args)
     algorithms = [a.strip() for a in args.algorithms.split(",") if a.strip()]
-    for algorithm in algorithms:
-        _validated(replace(cfg, algorithm=algorithm))
     if args.seeds:
         try:
             seeds = [int(s) for s in args.seeds.split(",") if s.strip()]
@@ -220,6 +218,9 @@ def cmd_compare(args) -> int:
             raise ConfigError(f"--seeds must be comma-separated integers: {exc}") from exc
     else:
         seeds = list(range(cfg.seed, cfg.seed + 10))
+    for algorithm in algorithms:
+        for seed in seeds:
+            _validated(replace(cfg, algorithm=algorithm, seed=seed))
     if not algorithms or not seeds:
         raise ConfigError("--algorithms and --seeds must each name at least one value")
     out = _out_dir(args)

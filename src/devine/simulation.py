@@ -74,6 +74,8 @@ class SimConfig:
             raise ValueError("sampling_interval must be positive")
         if self.trace_sample < 0:
             raise ValueError("trace_sample must be non-negative")
+        if not 0 <= self.seed < 2**64:  # the streams read its low 64 bits, so others would alias
+            raise ValueError(f"seed must lie in [0, 2**64), got {self.seed}")
         self.generator.validate()
         self.election.validate()
         self.grc.validate()

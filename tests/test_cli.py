@@ -220,6 +220,25 @@ def test_compare_rejects_a_repeated_algorithm_or_seed(tmp_path, capsys, flags, m
     assert not (tmp_path / "aggregate.csv").exists()
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["run", "--seed", "-1"],
+        ["run", "--seed", str(2**64)],
+        ["compare", "--algorithms", "firstfit", "--seeds", f"0,{2**64}"],
+        ["compare", "--algorithms", "firstfit", "--seed", str(2**64 - 5)],  # seed..seed+9
+    ],
+)
+def test_a_seed_outside_64_bits_exits_1(tmp_path, capsys, argv):
+    # the streams read a seed's low 64 bits, so -1 would replay 2**64 - 1 and
+    # 2**64 would replay 0, and compare would count one simulation twice
+    out = tmp_path / "out"
+    assert main([*argv, "--servers", "5", "--duration", "10", "--out-dir", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "config error:" in err and "seed must lie in [0, 2**64)" in err
+    assert not out.exists() or not any(out.iterdir())
+
+
 @pytest.mark.parametrize("capacity, column", [
     ("cpu_capacity", "cpu_utilization"), ("link_bandwidth", "link_utilization"),
 ])

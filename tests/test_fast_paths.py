@@ -16,10 +16,12 @@ co-located link's one-node path without calling `map_link`.  Each request
 keeps its demand order, demand triples, least demand, totals and revenue,
 and a finished placement is priced from the bandwidth x hops its
 reservations added up rather than by `cost_of` over its paths.  GRC fills its
-transition matrices from edge arrays, refills one kept substrate matrix in
-place from the links that allocate and release moved, ranks a run's requests
-in one stacked iteration per request size, orders nodes by a stable argsort,
-and reuses a substrate rank while the residuals it ranked are unchanged.
+transition matrices from edge arrays, refills one kept substrate transition in
+place from the links that allocate and release moved, steps a sparse one by a
+gather over its links (within float64 rounding of the dense rank), ranks a
+run's requests in one stacked iteration per request size, orders nodes by a
+stable argsort, and reuses a substrate rank while the residuals it ranked
+are unchanged.
 bestfit scans the servers sorted by free cpu until the first unused fit and
 weighs it against the servers the request uses; firstfit and GRC probe only
 the servers that clear a request's least demand, filtered lazily.  Each must
@@ -59,6 +61,7 @@ from devine import (
     PhysicalNetwork,
     PhysicalNode,
     ResourceVector,
+    SimConfig,
     VirtualLink,
     VirtualNode,
     Vnr,
@@ -79,6 +82,7 @@ from devine import (
     metric_of,
     release,
     revenue_of,
+    run_simulation,
     simulation,
     stream,
 )
@@ -1042,6 +1046,28 @@ def rank_networks(draw, max_nodes=8):
     return _grc_net(cpus, links)
 
 
+@st.composite
+def sparse_rank_networks(draw, min_nodes=12, max_nodes=48):
+    """Rank networks that `_KeptTransition` gathers over: links on a drawn cluster.
+
+    The cluster's ids are drawn, so rows of up to 11 entries sit between rows
+    without links, and weights are often zero (drained columns).
+    """
+    n = draw(st.integers(min_value=min_nodes, max_value=max_nodes))
+    most = (n * n - 1) // (2 * baselines._SPARSE_K)  # links a gathered transition may hold
+    cluster = draw(st.permutations(range(n)))[: draw(st.integers(2, 12))]
+    pairs = [pair for pair in combinations(cluster, 2) if draw(st.booleans())][:most]
+    cpus = [draw(st.sampled_from((0, 1, 3, 30))) for _ in range(n)]
+    return _grc_net(cpus, [(u, v, draw(st.sampled_from((0, 0, 1, 5, 30)))) for u, v in pairs])
+
+
+def _fresh(net):
+    """The network's nodes, links and residuals, with no kept transition or rank."""
+    fresh = PhysicalNetwork(net.nodes, net.links, bw_free=net.bw_free)
+    fresh.cpu_free[:] = net.cpu_free  # tests write cpu past capacity
+    return fresh
+
+
 def as_request(net, request_id=0):
     """A rank network read as a request: cpu demands and bandwidth demands."""
     return Vnr(
@@ -1132,14 +1158,14 @@ _FAILING = GrcParams(tolerance=1e-15, max_iterations=1)
 
 @st.composite
 def rank_steps(draw):
-    """A rank network and what happens to it between ranks, one step each.
+    """A rank network, dense or gathered, and what happens to it between ranks, one step each.
 
     A step allocates a request whose one virtual link takes a drawn path of
     1-3 hops, releases an allocated request, or writes a drawn residual
     straight into `bw_free` or `cpu_free`; each is followed by a rank under
     drawn params, one of which fails to settle.
     """
-    net = draw(rank_networks())
+    net = draw(st.one_of(rank_networks(), sparse_rank_networks()))
     steps = []
     for _ in range(draw(st.integers(1, 12))):
         kind = draw(st.sampled_from(("allocate", "allocate", "release", "write bw", "write cpu")))
@@ -1165,16 +1191,18 @@ def rank_steps(draw):
 
 
 def test_kept_transition_ranks_like_a_fresh_matrix_after_any_writes():
-    # grc_rank refills one kept, 32-byte aligned matrix from the links that
-    # allocate and release record, and builds it afresh when anything else
-    # wrote bw_free; every rank must equal the loop-built reference's bytes,
-    # whose matrix numpy places where it likes
+    # grc_rank refills one kept transition from the links that allocate and
+    # release record, and builds it afresh when anything else wrote bw_free;
+    # every rank of a dense one (a 32-byte aligned matrix) must equal the
+    # loop-built reference's bytes, whose matrix numpy places where it likes,
+    # and every rank of a gathered one those of a fresh gathered build
     counts = Counter()
 
     @settings(max_examples=300, deadline=None)
     @given(case=rank_steps())
     def check(case):
         net, steps = case
+        gathered = baselines._SPARSE_K * 2 * net.num_links < net.num_nodes**2
         ledger, allocated, request_ids = {}, [], count()
         written, last, drained = False, None, None
         for step in steps:
@@ -1212,10 +1240,15 @@ def test_kept_transition_ranks_like_a_fresh_matrix_after_any_writes():
                 weights = np.array(net.cpu_free, dtype=float)
                 edges = [(l.u, l.v, free) for l, free in zip(net.links, net.bw_free)]
                 kept, moved = net.grc_transition, bool(net.bw_moved)
-                with mock.patch.object(baselines, "_refilled", wraps=baselines._refilled) as refill:
-                    try:
+                try:
+                    if gathered:
+                        want = grc_rank(_fresh(net), params).tobytes()
+                    else:
                         want = power_rank(weights, edges, params).tobytes()
-                    except ConvergenceError:
+                except ConvergenceError:
+                    want = None
+                with mock.patch.object(baselines, "_refilled", wraps=baselines._refilled) as refill:
+                    if want is None:
                         with pytest.raises(ConvergenceError):
                             grc_rank(net, params)
                         counts["convergence error"] += 1
@@ -1226,13 +1259,16 @@ def test_kept_transition_ranks_like_a_fresh_matrix_after_any_writes():
                 counts["params changed"] += last is not None and params != last
                 last = params
                 matrix = net.grc_transition.matrix
-                assert matrix.ctypes.data % 32 == 0
+                assert isinstance(matrix, baselines._Gathered) == gathered
+                if not gathered:
+                    assert matrix.ctypes.data % 32 == 0
                 assert not net.bw_moved
                 if kept is not None and net.grc_transition is not kept:
                     assert written  # only a write past allocate and release builds afresh
                     counts["fallback"] += 1
                 elif kept is not None:
                     counts["journaled"] += moved
+                    counts["gathered journaled"] += moved and gathered
                 written = False
                 now = [
                     sum(free for l, free in zip(net.links, net.bw_free) if j in (l.u, l.v)) == 0
@@ -1244,8 +1280,106 @@ def test_kept_transition_ranks_like_a_fresh_matrix_after_any_writes():
 
     check()
     for what in ("journaled", "fallback", "convergence error", "params changed",
-                 "drained column changed"):
+                 "drained column changed", "gathered journaled"):
         assert counts[what] >= counts["examples"] // 10, counts
+
+
+# float64 rounding between a gathered rank and the dense one, fixed before any
+# run: a step sums a row's at most 48 terms, whose total is at most 1, in
+# another order (at most 2 * 48 eps apart), and the iteration damped by at
+# most 0.85 carries less than 1 / (1 - 0.85) < 7 steps of it
+_ROUNDING = 2**10 * np.finfo(float).eps
+
+
+def _orders_agree(rank, reference, tolerance):
+    """Whether the stable descending orders agree on every two nodes whose reference ranks
+    lie more than `tolerance` apart."""
+    def places(r):
+        place = np.empty(len(r), dtype=np.intp)
+        place[np.argsort(-r, kind="stable")] = np.arange(len(r))
+        return place
+
+    mine, theirs = places(rank), places(reference)
+    apart = abs(reference[:, None] - reference[None, :]) > tolerance
+    same = np.sign(mine[:, None] - mine[None, :]) == np.sign(theirs[:, None] - theirs[None, :])
+    return bool((same | ~apart).all())
+
+
+@st.composite
+def gathered_rank_cases(draw):
+    """A gathered network, params, and batches of journaled bandwidth writes between ranks."""
+    net = draw(sparse_rank_networks())
+    params = draw(st.sampled_from([GrcParams(damping=d) for d in (0.0, 0.5, 0.85)] + [
+        _FAILING, GrcParams(max_iterations=3),  # these never settle, but at damping 0
+    ]))
+    write = st.tuples(st.integers(0, net.num_links - 1), st.sampled_from((0, 1, 5, 30)))
+    batches = draw(st.lists(st.lists(write, min_size=1, max_size=4), max_size=3)) if net.links else []
+    return net, params, batches
+
+
+def test_gathered_rank_matches_the_dense_reference_within_rounding():
+    counts = Counter()
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=gathered_rank_cases())
+    @example(case=(_grc_net([1] * 12, []), GrcParams(), []))  # edgeless: every row lone
+    @example(case=(
+        _grc_net([0] * 5 + [3] * 9, [(13, 2, 0), (2, 7, 0), (7, 13, 5)]),  # drained, lone
+        GrcParams(),
+        [[(2, 30)], [(1, 0), (2, 0)]],
+    ))
+    def check(case):
+        net, params, batches = case
+        for batch in [[]] + batches:  # a fresh rank, then one after each batch
+            for idx, bw in batch:  # written and recorded as allocate and release do
+                net.bw_free[idx] = 1000 * bw
+                net.bw_moved.add(idx)
+            weights = np.array(net.cpu_free, dtype=float)
+            edges = [(l.u, l.v, free) for l, free in zip(net.links, net.bw_free)]
+            try:
+                want = power_rank(weights, edges, params)
+            except ConvergenceError:
+                with pytest.raises(ConvergenceError):
+                    grc_rank(net, params)
+                counts["convergence error"] += 1
+                continue
+            rank = grc_rank(net, params)
+            assert isinstance(net.grc_transition.matrix, baselines._Gathered)
+            assert abs(rank - want).max() <= _ROUNDING
+            assert _orders_agree(rank, want, _ROUNDING)
+            degree = np.bincount([end for l in net.links for end in (l.u, l.v)],
+                                 minlength=net.num_nodes)
+            counts["lone"] += bool((degree == 0).any())
+            counts["rows of 3+"] += bool((degree >= 3).any())
+            counts["drained"] += any(
+                d and not sum(free for l, free in zip(net.links, net.bw_free) if j in (l.u, l.v))
+                for j, d in enumerate(degree)
+            )
+            counts["bytes differ"] += rank.tobytes() != want.tobytes()
+            counts["refilled"] += bool(batch)
+        counts["examples"] += 1
+
+    check()
+    for what in ("convergence error", "lone", "rows of 3+", "drained", "refilled"):
+        assert counts[what] >= counts["examples"] // 10, counts
+
+
+def test_grc_runs_write_the_same_artifacts_from_either_kernel():
+    # grc on a substrate the selector gathers over, and with the dense kernel
+    # forced: every summary, per-arrival and series value alike, bit for bit
+    gen = GeneratorConfig(server_count=120, link_probability=0.03)
+    for seed in (1, 2, 3):
+        net = generate_physical_network(gen, stream(seed, "topology"))
+        assert isinstance(baselines._KeptTransition(net).matrix, baselines._Gathered)
+        cfg = SimConfig(generator=gen, algorithm="grc", duration=60.0, seed=seed)
+        gathered = run_simulation(cfg)
+        with mock.patch.object(baselines, "_SPARSE_K", math.inf):
+            dense = run_simulation(cfg)
+        for field in ("summary", "per_arrival", "series"):
+            assert repr(getattr(gathered, field)) == repr(getattr(dense, field))
+    # the generator defaults (100 servers, p=0.4) keep the dense kernel
+    net = generate_physical_network(GeneratorConfig(), stream(1, "topology"))
+    assert isinstance(baselines._KeptTransition(net).matrix, np.ndarray)
 
 
 def _reference(vnr):

@@ -37,6 +37,10 @@ def test_config_validation():
         _small_cfg(sampling_interval=0.0).validate()
     with pytest.raises(ValueError):
         _small_cfg(trace_sample=-1).validate()
+    for seed in (-1, 2**64):
+        with pytest.raises(ValueError, match="seed must lie in"):
+            _small_cfg(seed=seed).validate()
+    _small_cfg(seed=2**64 - 1).validate()
     for bad in (
         {"duration": math.nan},
         {"duration": math.inf},
