@@ -186,16 +186,18 @@ class _Gathered:
 
 
 class _KeptTransition:
-    """A substrate's transition, kept across ranks, and the bandwidth it was filled from.
+    """A substrate's GRC state, kept across ranks: its transition, the bandwidth
+    it was filled from and the last rank that settled on that bandwidth.
 
     `matrix` is `_Gathered` below one nonzero in `_SPARSE_K` entries, else an
     (n, n) array on a 32-byte boundary, where OpenBLAS's gemv gives the same
     bytes as anywhere else and takes 30% less time at n=400; `values` is where
-    `_fill` writes it. `bw` copies `bw_free` as of the last fill, and `w2`
-    holds it as floats, twice.
+    `_fill` writes it. `bw` copies `bw_free` as of the last rank, and `w2`
+    holds it as floats, twice. `ranked` is (params, cpu_free copy, rank) of
+    the last rank that settled at `bw`, or None.
     """
 
-    __slots__ = ("matrix", "values", "pattern", "bw", "w2")
+    __slots__ = ("matrix", "values", "pattern", "bw", "w2", "ranked")
 
     def __init__(self, net: PhysicalNetwork):
         n = net.num_nodes
@@ -215,25 +217,7 @@ class _KeptTransition:
         self.pattern = (flat, ends, degree)
         self.bw = list(net.bw_free)
         self.w2 = np.array(self.bw + self.bw, dtype=float)
-
-
-def _refilled(net: PhysicalNetwork) -> np.ndarray | _Gathered:
-    """The network's kept transition matrix, refilled in place from the live `bw_free`.
-
-    Only the links that allocate and release recorded in `bw_moved` are read
-    again; if the copy still differs, something else wrote `bw_free`, and the
-    kept state is built afresh.
-    """
-    kept, bw_free = net.grc_transition, net.bw_free
-    if kept is not None:
-        bw, w2, m = kept.bw, kept.w2, len(bw_free)
-        for idx in net.bw_moved:
-            bw[idx] = w2[idx] = w2[m + idx] = bw_free[idx]
-    if kept is None or kept.bw != bw_free:
-        kept = net.grc_transition = _KeptTransition(net)
-    net.bw_moved.clear()
-    _fill(kept.values, kept.pattern, kept.w2)
-    return kept.matrix
+        self.ranked: tuple | None = None
 
 
 def _power_rank(
@@ -244,12 +228,10 @@ def _power_rank(
     c is `weights` normalized to sum 1, or uniform when they sum to 0.
     """
     n = len(weights)
-    if n == 0:  # an empty substrate: nothing to rank
-        return np.zeros(0)
+    if n <= 1:  # nothing to rank, or one node that holds the whole rank
+        return np.ones(n)
     total = weights.sum()
     c = np.full(n, 1.0 / n) if total <= 0 else weights / total
-    if n == 1:
-        return c.copy()
     d = params.damping
     teleport = (1.0 - d) * c
     rank = c.copy()
@@ -264,17 +246,30 @@ def _power_rank(
 
 
 def grc_rank(net: PhysicalNetwork, params: GrcParams | None = None) -> np.ndarray:
-    """Global resource-capacity rank of substrate nodes (sums to 1), read-only."""
+    """Global resource-capacity rank of substrate nodes (sums to 1), read-only.
+
+    The kept state re-reads only the links in `bw_moved`, and is built afresh if
+    something else wrote `bw_free`; its last rank serves while its inputs are equal.
+    """
     params = params or GrcParams()
     params.validate()
-    # the last rank while its inputs compare equal, by content: anything may write the lists
-    memo = net.grc_rank_memo
-    if memo is not None and memo[:3] == (params, net.cpu_free, net.bw_free):
-        return memo[3]
+    kept, bw_free = net.grc_transition, net.bw_free
+    if kept is not None:
+        bw, w2, m = kept.bw, kept.w2, len(bw_free)
+        for idx in net.bw_moved:
+            if bw[idx] != bw_free[idx]:
+                kept.ranked = None
+                bw[idx] = w2[idx] = w2[m + idx] = bw_free[idx]
+    net.bw_moved.clear()
+    if kept is None or kept.bw != bw_free:
+        kept = net.grc_transition = _KeptTransition(net)
+    elif kept.ranked is not None and kept.ranked[:2] == (params, net.cpu_free):
+        return kept.ranked[2]
     weights = np.fromiter(net.cpu_free, np.int64, net.num_nodes).astype(float)
-    rank = _power_rank(weights, _refilled(net), params)
+    _fill(kept.values, kept.pattern, kept.w2)
+    rank = _power_rank(weights, kept.matrix, params)
     rank.flags.writeable = False
-    net.grc_rank_memo = (params, list(net.cpu_free), list(net.bw_free), rank)
+    kept.ranked = (params, list(net.cpu_free), rank)
     return rank
 
 
@@ -337,7 +332,6 @@ def grc_embed(
 ) -> LocalEmbedOutcome:
     """Rank-ordered greedy mapping: high-rank demand onto high-rank capacity."""
     grc_params = grc_params or GrcParams()
-    grc_params.validate()
     params = params or LocalEmbedParams()
     net_rank = grc_rank(net, grc_params)
     if virt_order is None:  # not ranked up front by vnr_orders

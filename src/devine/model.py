@@ -166,9 +166,8 @@ class PhysicalNetwork:
         self.adjacency = _build_adjacency(len(nodes), links)
         self._neighbors = [sorted(nbs) for nbs in self.adjacency]
         self._walks: list[Walk | None] = [None] * len(nodes)
-        self.grc_rank_memo: tuple | None = None  # baselines.grc_rank's (params, cpu, bw, rank)
-        self.grc_transition = None  # baselines.grc_rank's kept transition matrix
-        self.bw_moved: set[int] = set()  # links allocate and release wrote since it was refilled
+        self.grc_transition = None  # baselines.grc_rank's kept transition and last rank
+        self.bw_moved: set[int] = set()  # links allocate and release wrote since grc_rank read them
 
     @property
     def num_nodes(self) -> int:

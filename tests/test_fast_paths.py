@@ -92,6 +92,7 @@ from devine.local_embed import LocalEmbedOutcome, _finish, _Scratch
 from devine.model import Walk
 import oracles
 from oracles import best_path, power_rank
+from test_golden_digests import CONFIGS, DURATION, SEEDS
 
 amounts = st.integers(min_value=0, max_value=30)
 
@@ -1143,13 +1144,30 @@ def test_grc_rank_is_reused_only_while_its_inputs_are_unchanged():
         assert grc_rank(net).tobytes() == reference() and ranked.call_count == 7
         net.cpu_free[2] += 29_000
         net.bw_free[1] = 1000
-        assert grc_rank(net).tobytes() == first.tobytes() == reference()
+        last = grc_rank(net)
+        assert last.tobytes() == first.tobytes() == reference()
         assert ranked.call_count == 8
+        # a request that takes no cpu, allocated and released between two
+        # ranks: its links moved and moved back, so the last rank serves
+        ledger = {}
+        vnr = Vnr(0, [VirtualNode(0), VirtualNode(1)], [VirtualLink(0, 1, 1.0)])
+        solution = EmbeddingSolution(0, {0: 0, 1: 2}, {0: (0, 1, 2)}, 0.0, 0.0, 0.0)
+        allocate(net, vnr, solution, ledger)
+        release(net, 0, ledger)
+        assert net.bw_moved
+        assert grc_rank(net) is last and ranked.call_count == 8
+        # allocated, then a rank that fails to settle: the cpu is unchanged,
+        # but the bandwidth moved, so the next rank is fresh
+        allocate(net, vnr, solution, ledger)
+        with pytest.raises(ConvergenceError):
+            grc_rank(net, failing)
+        fresh = grc_rank(net)
+        assert fresh.tobytes() == reference() != last.tobytes() and ranked.call_count == 10
     # a failure before any rank leaves nothing behind either
     net = _grc_net([1, 3, 30], [(0, 1, 5), (1, 2, 1)])
     with pytest.raises(ConvergenceError):
         grc_rank(net, failing)
-    assert net.grc_rank_memo is None
+    assert net.grc_transition.ranked is None
     assert grc_rank(net).tobytes() == reference()
 
 
@@ -1247,14 +1265,14 @@ def test_kept_transition_ranks_like_a_fresh_matrix_after_any_writes():
                         want = power_rank(weights, edges, params).tobytes()
                 except ConvergenceError:
                     want = None
-                with mock.patch.object(baselines, "_refilled", wraps=baselines._refilled) as refill:
+                with mock.patch.object(baselines, "_fill", wraps=baselines._fill) as refill:
                     if want is None:
                         with pytest.raises(ConvergenceError):
                             grc_rank(net, params)
                         counts["convergence error"] += 1
                     else:
                         assert grc_rank(net, params).tobytes() == want
-                if not refill.called:  # the memo served
+                if not refill.called:  # the last rank served
                     continue
                 counts["params changed"] += last is not None and params != last
                 last = params
@@ -1380,6 +1398,33 @@ def test_grc_runs_write_the_same_artifacts_from_either_kernel():
     # the generator defaults (100 servers, p=0.4) keep the dense kernel
     net = generate_physical_network(GeneratorConfig(), stream(1, "topology"))
     assert isinstance(baselines._KeptTransition(net).matrix, np.ndarray)
+
+
+def test_grc_runs_rank_afresh_exactly_when_the_ranked_inputs_changed():
+    # the kept state's rule against a memo of the last settled rank's inputs,
+    # compared by content: in grc runs on the golden-digest configs,
+    # _power_rank runs exactly when params, cpu_free or bw_free moved
+    counts = Counter()
+    for config in CONFIGS.values():
+        for seed in SEEDS:
+            run = {**config, "algorithm": "grc", "seed": seed, "duration": DURATION}
+            cfg = SimConfig.from_dict(run)
+            last = None  # (params, cpu_free, bw_free) of the last settled rank
+
+            def recording(net, params=None):
+                nonlocal last
+                inputs = (params or GrcParams(), list(net.cpu_free), list(net.bw_free))
+                fresh, before = inputs != last, power.call_count
+                rank = grc_rank(net, params)
+                assert (power.call_count > before) == fresh
+                counts["fresh" if fresh else "reused"] += 1
+                last = inputs
+                return rank
+
+            with mock.patch.object(baselines, "_power_rank", wraps=baselines._power_rank) as power:
+                with mock.patch.object(baselines, "grc_rank", recording):
+                    run_simulation(cfg)
+    assert counts["fresh"] and counts["reused"], counts
 
 
 def _reference(vnr):
