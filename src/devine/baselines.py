@@ -187,14 +187,16 @@ class _Gathered:
 
 class _KeptTransition:
     """A substrate's GRC state, kept across ranks: its transition, the bandwidth
-    it was filled from and the last rank that settled on that bandwidth.
+    it was filled from and the last rank that settled on it.
 
     `matrix` is `_Gathered` below one nonzero in `_SPARSE_K` entries, else an
     (n, n) array on a 32-byte boundary, where OpenBLAS's gemv gives the same
     bytes as anywhere else and takes 30% less time at n=400; `values` is where
     `_fill` writes it. `bw` copies `bw_free` as of the last rank, and `w2`
     holds it as floats, twice. `ranked` is (params, cpu_free copy, rank) of
-    the last rank that settled at `bw`, or None.
+    the last rank that settled, served while params and `cpu_free` match;
+    once a replayed link's bandwidth moved, params and the copy are None and
+    the rank only starts the next iteration; all three are None before any.
     """
 
     __slots__ = ("matrix", "values", "pattern", "bw", "w2", "ranked")
@@ -217,15 +219,20 @@ class _KeptTransition:
         self.pattern = (flat, ends, degree)
         self.bw = list(net.bw_free)
         self.w2 = np.array(self.bw + self.bw, dtype=float)
-        self.ranked: tuple | None = None
+        self.ranked: tuple = (None, None, None)
 
 
 def _power_rank(
-    weights: np.ndarray, transition: np.ndarray | _Gathered, params: GrcParams
+    weights: np.ndarray,
+    transition: np.ndarray | _Gathered,
+    params: GrcParams,
+    start: np.ndarray | None = None,
 ) -> np.ndarray:
     """Damped fixed point r = (1-d)*c + d*T*r of a column-stochastic (n, n) transition T.
 
-    c is `weights` normalized to sum 1, or uniform when they sum to 0.
+    c is `weights` normalized to sum 1, or uniform when they sum to 0. The
+    iteration starts from `start` if given, else from c; it never writes its
+    iterate in place, so `start` may be read-only.
     """
     n = len(weights)
     if n <= 1:  # nothing to rank, or one node that holds the whole rank
@@ -234,7 +241,7 @@ def _power_rank(
     c = np.full(n, 1.0 / n) if total <= 0 else weights / total
     d = params.damping
     teleport = (1.0 - d) * c
-    rank = c.copy()
+    rank = c if start is None else start
     for _ in range(params.max_iterations):
         updated = teleport + d * (transition @ rank)
         if abs(updated - rank).max() < params.tolerance:
@@ -250,6 +257,8 @@ def grc_rank(net: PhysicalNetwork, params: GrcParams | None = None) -> np.ndarra
 
     The kept state re-reads only the links in `bw_moved`, and is built afresh if
     something else wrote `bw_free`; its last rank serves while its inputs are equal.
+    A fresh rank iterates from the last rank that settled on the kept state, or
+    from the normalized cpu on a new state, so its last bits depend on that rank.
     """
     params = params or GrcParams()
     params.validate()
@@ -258,16 +267,16 @@ def grc_rank(net: PhysicalNetwork, params: GrcParams | None = None) -> np.ndarra
         bw, w2, m = kept.bw, kept.w2, len(bw_free)
         for idx in net.bw_moved:
             if bw[idx] != bw_free[idx]:
-                kept.ranked = None
+                kept.ranked = (None, None, kept.ranked[2])
                 bw[idx] = w2[idx] = w2[m + idx] = bw_free[idx]
     net.bw_moved.clear()
     if kept is None or kept.bw != bw_free:
         kept = net.grc_transition = _KeptTransition(net)
-    elif kept.ranked is not None and kept.ranked[:2] == (params, net.cpu_free):
+    elif kept.ranked[:2] == (params, net.cpu_free):
         return kept.ranked[2]
     weights = np.fromiter(net.cpu_free, np.int64, net.num_nodes).astype(float)
     _fill(kept.values, kept.pattern, kept.w2)
-    rank = _power_rank(weights, kept.matrix, params)
+    rank = _power_rank(weights, kept.matrix, params, kept.ranked[2])
     rank.flags.writeable = False
     kept.ranked = (params, list(net.cpu_free), rank)
     return rank

@@ -442,13 +442,14 @@ def residual_snapshot(net):
     return nodes, tuple(net.bw_free)
 
 
-def power_rank(weights, edges, params):
+def power_rank(weights, edges, params, start=None):
     """GRC rank from (u, v, weight) edge tuples, the transition matrix built by loops.
 
     Damped fixed point r = (1-d)*c + d*T*r on an undirected weighted graph.
     c is `weights` normalized to sum 1; column j of T spreads over j's
     neighbors proportionally to edge weight, or uniformly when all of j's
     incident weight is zero (keeps T column-stochastic, so ranks sum to 1).
+    The iteration starts from `start` when one is given, else from c.
     """
     n = len(weights)
     total = weights.sum()
@@ -474,7 +475,7 @@ def power_rank(weights, edges, params):
                 elif v == j:
                     transition[u, j] = 1.0 / degree[j]
     d = params.damping
-    rank = c.copy()
+    rank = c.copy() if start is None else np.array(start, dtype=float)
     for _ in range(params.max_iterations):
         updated = (1.0 - d) * c + d * (transition @ rank)
         if np.max(np.abs(updated - rank)) < params.tolerance:

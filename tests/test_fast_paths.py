@@ -20,8 +20,10 @@ transition matrices from edge arrays, refills one kept substrate transition in
 place from the links that allocate and release moved, steps a sparse one by a
 gather over its links (within float64 rounding of the dense rank), ranks a
 run's requests in one stacked iteration per request size, orders nodes by a
-stable argsort, and reuses a substrate rank while the residuals it ranked
-are unchanged.
+stable argsort, reuses a substrate rank while the residuals it ranked
+are unchanged, and starts a fresh one from the last rank that settled
+(the loop-built rank takes the same start, and a grc run whose every rank
+starts cold must write the same bytes).
 bestfit scans the servers sorted by free cpu until the first unused fit and
 weighs it against the servers the request uses; firstfit and GRC probe only
 the servers that clear a request's least demand, filtered lazily.  Each must
@@ -1062,11 +1064,12 @@ def sparse_rank_networks(draw, min_nodes=12, max_nodes=48):
     return _grc_net(cpus, [(u, v, draw(st.sampled_from((0, 0, 1, 5, 30)))) for u, v in pairs])
 
 
-def _fresh(net):
-    """The network's nodes, links and residuals, with no kept transition or rank."""
-    fresh = PhysicalNetwork(net.nodes, net.links, bw_free=net.bw_free)
-    fresh.cpu_free[:] = net.cpu_free  # tests write cpu past capacity
-    return fresh
+def _fresh_rank(net, params, start=None):
+    """`_power_rank` over a fresh build of the network's transition, from `start`."""
+    kept = baselines._KeptTransition(net)
+    baselines._fill(kept.values, kept.pattern, kept.w2)
+    weights = np.array(net.cpu_free, dtype=float)
+    return baselines._power_rank(weights, kept.matrix, params, start)
 
 
 def as_request(net, request_id=0):
@@ -1114,34 +1117,43 @@ def test_power_rank_matches_the_loop_built_reference(net, damping):
 def test_grc_rank_is_reused_only_while_its_inputs_are_unchanged():
     net = _grc_net([1, 3, 30, 1], [(0, 1, 5), (1, 2, 1), (2, 3, 5)])
 
-    def reference(params=GrcParams()):
+    def reference(params=GrcParams(), start=None):
         weights = np.array(net.cpu_free, dtype=float)
         edges = [(l.u, l.v, free) for l, free in zip(net.links, net.bw_free)]
-        return power_rank(weights, edges, params).tobytes()
+        return power_rank(weights, edges, params, start).tobytes()
 
     failing = GrcParams(tolerance=1e-15, max_iterations=1)
     with mock.patch.object(baselines, "_power_rank", wraps=baselines._power_rank) as ranked:
         first = grc_rank(net)
+        assert ranked.call_args.args[3] is None  # a new state starts from c
         assert grc_rank(net) is first and ranked.call_count == 1  # unchanged: not ranked again
         assert not first.flags.writeable
         with pytest.raises(ValueError):
             first[0] = 0.0
-        # written in place, not through allocate
+        # written in place, not through allocate: each fresh rank starts from
+        # the last that settled, read-only and not copied
         net.cpu_free[2] -= 29_000
-        assert grc_rank(net).tobytes() == reference() and ranked.call_count == 2
+        rank = grc_rank(net)
+        assert rank.tobytes() == reference(start=first) and ranked.call_count == 2
+        assert ranked.call_args.args[3] is first
+        # a direct bandwidth write builds the state afresh, which starts from c
         net.bw_free[1] = 0
-        assert grc_rank(net).tobytes() == reference() and ranked.call_count == 3
+        rank = grc_rank(net)
+        assert rank.tobytes() == reference() and ranked.call_count == 3
         other = GrcParams(damping=0.5)
-        assert grc_rank(net, other).tobytes() == reference(other) and ranked.call_count == 4
-        assert grc_rank(net, other).tobytes() == reference(other) and ranked.call_count == 4
-        assert grc_rank(net).tobytes() == reference() and ranked.call_count == 5
+        rank_other = grc_rank(net, other)
+        assert rank_other.tobytes() == reference(other, rank) and ranked.call_count == 4
+        assert grc_rank(net, other) is rank_other and ranked.call_count == 4
+        rank = grc_rank(net)
+        assert rank.tobytes() == reference(start=rank_other) and ranked.call_count == 5
         # a rank that fails to settle is not kept: it fails again, and the
         # last good rank still serves
         for _ in range(2):
             with pytest.raises(ConvergenceError):
                 grc_rank(net, failing)
+            assert ranked.call_args.args[3] is rank
         assert ranked.call_count == 7
-        assert grc_rank(net).tobytes() == reference() and ranked.call_count == 7
+        assert grc_rank(net) is rank and ranked.call_count == 7
         net.cpu_free[2] += 29_000
         net.bw_free[1] = 1000
         last = grc_rank(net)
@@ -1157,17 +1169,19 @@ def test_grc_rank_is_reused_only_while_its_inputs_are_unchanged():
         assert net.bw_moved
         assert grc_rank(net) is last and ranked.call_count == 8
         # allocated, then a rank that fails to settle: the cpu is unchanged,
-        # but the bandwidth moved, so the next rank is fresh
+        # but the bandwidth moved, so the next rank is fresh, and it starts
+        # from the last rank that settled, which no longer serves
         allocate(net, vnr, solution, ledger)
         with pytest.raises(ConvergenceError):
             grc_rank(net, failing)
         fresh = grc_rank(net)
-        assert fresh.tobytes() == reference() != last.tobytes() and ranked.call_count == 10
+        assert fresh.tobytes() == reference(start=last) != last.tobytes()
+        assert ranked.call_args.args[3] is last and ranked.call_count == 10
     # a failure before any rank leaves nothing behind either
     net = _grc_net([1, 3, 30], [(0, 1, 5), (1, 2, 1)])
     with pytest.raises(ConvergenceError):
         grc_rank(net, failing)
-    assert net.grc_transition.ranked is None
+    assert net.grc_transition.ranked == (None, None, None)
     assert grc_rank(net).tobytes() == reference()
 
 
@@ -1184,11 +1198,12 @@ def rank_steps(draw):
     drawn params, one of which fails to settle.
     """
     net = draw(st.one_of(rank_networks(), sparse_rank_networks()))
+    linked = [j for j in range(net.num_nodes) if net.neighbors(j)]
     steps = []
     for _ in range(draw(st.integers(1, 12))):
         kind = draw(st.sampled_from(("allocate", "allocate", "release", "write bw", "write cpu")))
         if kind == "allocate" and net.num_links:
-            path = [draw(st.sampled_from(range(net.num_nodes)))]
+            path = [draw(st.sampled_from(linked))]  # a gathered network links few of its nodes
             for _ in range(draw(st.integers(1, 3))):
                 ahead = [nb for nb in net.neighbors(path[-1]) if nb not in path]
                 if ahead:
@@ -1213,7 +1228,9 @@ def test_kept_transition_ranks_like_a_fresh_matrix_after_any_writes():
     # release record, and builds it afresh when anything else wrote bw_free;
     # every rank of a dense one (a 32-byte aligned matrix) must equal the
     # loop-built reference's bytes, whose matrix numpy places where it likes,
-    # and every rank of a gathered one those of a fresh gathered build
+    # and every rank of a gathered one those of a fresh gathered build, each
+    # iterated from the last rank that settled on the kept state, or from c
+    # on a new one; the last rank serves while no input moved since it settled
     counts = Counter()
 
     @settings(max_examples=300, deadline=None)
@@ -1223,6 +1240,8 @@ def test_kept_transition_ranks_like_a_fresh_matrix_after_any_writes():
         gathered = baselines._SPARSE_K * 2 * net.num_links < net.num_nodes**2
         ledger, allocated, request_ids = {}, [], count()
         written, last, drained = False, None, None
+        seen = None  # bw_free as the last rank read it
+        settled, serves = None, None  # the last settled rank, and the inputs it serves
         for step in steps:
             kind = step[0]
             if kind == "allocate":
@@ -1258,11 +1277,24 @@ def test_kept_transition_ranks_like_a_fresh_matrix_after_any_writes():
                 weights = np.array(net.cpu_free, dtype=float)
                 edges = [(l.u, l.v, free) for l, free in zip(net.links, net.bw_free)]
                 kept, moved = net.grc_transition, bool(net.bw_moved)
+                new = kept is None or any(
+                    net.bw_free[idx] != seen[idx]
+                    for idx in range(net.num_links)
+                    if idx not in net.bw_moved
+                )
+                if new:  # nothing serves, and the rank starts from c
+                    settled, serves = None, None
+                elif net.bw_free != seen:  # a journaled link moved: the rank only starts
+                    serves = None
+                inputs = (params, list(net.cpu_free))
+                seen, served = list(net.bw_free), serves == inputs
                 try:
-                    if gathered:
-                        want = grc_rank(_fresh(net), params).tobytes()
+                    if served:
+                        want = settled.tobytes()
+                    elif gathered:
+                        want = _fresh_rank(net, params, settled).tobytes()
                     else:
-                        want = power_rank(weights, edges, params).tobytes()
+                        want = power_rank(weights, edges, params, settled).tobytes()
                 except ConvergenceError:
                     want = None
                 with mock.patch.object(baselines, "_fill", wraps=baselines._fill) as refill:
@@ -1271,7 +1303,11 @@ def test_kept_transition_ranks_like_a_fresh_matrix_after_any_writes():
                             grc_rank(net, params)
                         counts["convergence error"] += 1
                     else:
-                        assert grc_rank(net, params).tobytes() == want
+                        rank = grc_rank(net, params)
+                        assert rank.tobytes() == want
+                        counts["warm"] += settled is not None and not served
+                        settled, serves = rank, inputs
+                assert refill.called != served and (net.grc_transition is not kept) == new
                 if not refill.called:  # the last rank served
                     continue
                 counts["params changed"] += last is not None and params != last
@@ -1298,7 +1334,7 @@ def test_kept_transition_ranks_like_a_fresh_matrix_after_any_writes():
 
     check()
     for what in ("journaled", "fallback", "convergence error", "params changed",
-                 "drained column changed", "gathered journaled"):
+                 "drained column changed", "gathered journaled", "warm"):
         assert counts[what] >= counts["examples"] // 10, counts
 
 
@@ -1348,23 +1384,30 @@ def test_gathered_rank_matches_the_dense_reference_within_rounding():
     ))
     def check(case):
         net, params, batches = case
+        settled, settled_edges = None, None  # the last settled rank, and the links it ranked
         for batch in [[]] + batches:  # a fresh rank, then one after each batch
             for idx, bw in batch:  # written and recorded as allocate and release do
                 net.bw_free[idx] = 1000 * bw
                 net.bw_moved.add(idx)
             weights = np.array(net.cpu_free, dtype=float)
             edges = [(l.u, l.v, free) for l, free in zip(net.links, net.bw_free)]
-            try:
-                want = power_rank(weights, edges, params)
+            if edges == settled_edges:  # the batch moved nothing: the last rank serves
+                assert grc_rank(net, params) is settled
+                continue
+            try:  # from the gathered rank that settled last, as grc_rank starts
+                want = power_rank(weights, edges, params, settled)
             except ConvergenceError:
                 with pytest.raises(ConvergenceError):
                     grc_rank(net, params)
                 counts["convergence error"] += 1
+                settled_edges = None  # the links moved since it settled: it only starts
                 continue
             rank = grc_rank(net, params)
             assert isinstance(net.grc_transition.matrix, baselines._Gathered)
             assert abs(rank - want).max() <= _ROUNDING
             assert _orders_agree(rank, want, _ROUNDING)
+            counts["warm"] += settled is not None
+            settled, settled_edges = rank, edges
             degree = np.bincount([end for l in net.links for end in (l.u, l.v)],
                                  minlength=net.num_nodes)
             counts["lone"] += bool((degree == 0).any())
@@ -1378,8 +1421,116 @@ def test_gathered_rank_matches_the_dense_reference_within_rounding():
         counts["examples"] += 1
 
     check()
-    for what in ("convergence error", "lone", "rows of 3+", "drained", "refilled"):
+    for what in ("convergence error", "lone", "rows of 3+", "drained", "refilled", "warm"):
         assert counts[what] >= counts["examples"] // 10, counts
+
+
+@st.composite
+def started_rank_cases(draw):
+    """A rank network, dense or gathered, params, and a read-only start: a drawn
+    probability vector, or the network's rank under drawn params."""
+    net = draw(st.one_of(rank_networks(), sparse_rank_networks()))
+    params = draw(st.sampled_from((
+        GrcParams(), GrcParams(damping=0.5), GrcParams(damping=0.0),
+        _FAILING, GrcParams(max_iterations=3),
+    )))
+    n = net.num_nodes
+    if draw(st.booleans()):
+        mass = np.array(draw(st.lists(st.floats(0, 1), min_size=n, max_size=n)))
+        start = mass / mass.sum() if mass.sum() > 0 else np.full(n, 1.0 / n)
+    else:
+        other = draw(st.sampled_from((GrcParams(), GrcParams(damping=0.5), GrcParams(damping=0.0))))
+        edges = [(l.u, l.v, free) for l, free in zip(net.links, net.bw_free)]
+        start = power_rank(np.array(net.cpu_free, dtype=float), edges, other)
+    start.flags.writeable = False
+    return net, params, start
+
+
+def test_power_rank_from_a_start_matches_the_reference_from_it():
+    # _power_rank iterates from a given start as the loop-built reference does:
+    # byte for byte over a dense transition, within float64 rounding over a
+    # gathered one, and both fail to settle together
+    counts = Counter()
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=started_rank_cases())
+    def check(case):
+        net, params, start = case
+        weights = np.array(net.cpu_free, dtype=float)
+        edges = [(l.u, l.v, free) for l, free in zip(net.links, net.bw_free)]
+        before = start.tobytes()
+        gathered = isinstance(baselines._KeptTransition(net).matrix, baselines._Gathered)
+        counts["gathered" if gathered else "dense"] += 1
+        try:
+            want = power_rank(weights, edges, params, start)
+        except ConvergenceError:
+            with pytest.raises(ConvergenceError):
+                _fresh_rank(net, params, start)
+            counts["convergence error"] += 1
+            return
+        rank = _fresh_rank(net, params, start)
+        assert start.tobytes() == before
+        if gathered:
+            assert abs(rank - want).max() <= _ROUNDING
+            assert _orders_agree(rank, want, _ROUNDING)
+        else:
+            assert rank.tobytes() == want.tobytes()
+        counts["settled"] += 1
+
+    check()
+    for what in ("dense", "gathered", "convergence error", "settled"):
+        assert counts[what] >= 300 // 10, counts
+
+
+def test_warm_started_grc_runs_write_what_cold_started_runs_write():
+    # every substrate rank after a network's first starts from the last rank
+    # that settled on it; with every rank forced to start from c instead, grc
+    # runs on the golden-digest configs and on 120-server substrates the
+    # selector gathers over must write the same summary, per-arrival records
+    # and series, bit for bit. Each warm rank must lie within what the
+    # stopping rule leaves of its cold rank, and params that cannot settle in
+    # one step must still fail right after it
+    power, counts = baselines._power_rank, Counter()
+
+    def warm(weights, transition, params, start=None):
+        rank = power(weights, transition, params, start)
+        cold = power(weights, transition, params)
+        # each settled iterate lies within d / (1 - d) times its last step's L1
+        # length, which is under n * tolerance, of the fixed point
+        d = params.damping
+        assert abs(rank - cold).max() <= 2 * len(weights) * params.tolerance * d / (1 - d)
+        counts["warm" if start is not None else "cold"] += 1
+        counts["bytes differ"] += rank.tobytes() != cold.tobytes()
+        return rank
+
+    def cold(weights, transition, params, start=None):
+        return power(weights, transition, params)
+
+    def then_failing(net, params=None):
+        before = counts["warm"]
+        rank = grc_rank(net, params)
+        with pytest.raises(ConvergenceError):
+            grc_rank(net, _FAILING)
+        counts["failed after a warm rank"] += counts["warm"] > before
+        return rank
+
+    runs = [
+        SimConfig.from_dict({**config, "algorithm": "grc", "seed": seed, "duration": DURATION})
+        for config in CONFIGS.values()
+        for seed in SEEDS
+    ]
+    sparse = GeneratorConfig(server_count=120, link_probability=0.03)
+    runs += [SimConfig(generator=sparse, algorithm="grc", duration=60.0, seed=s) for s in (1, 2, 3)]
+    for cfg in runs:
+        with mock.patch.object(baselines, "_power_rank", warm):
+            with mock.patch.object(baselines, "grc_rank", then_failing):
+                warmed = run_simulation(cfg)
+        with mock.patch.object(baselines, "_power_rank", cold):
+            chilled = run_simulation(cfg)
+        for field in ("summary", "per_arrival", "series"):
+            assert repr(getattr(warmed, field)) == repr(getattr(chilled, field))
+    for what in ("warm", "cold", "bytes differ", "failed after a warm rank"):
+        assert counts[what], counts
 
 
 def test_grc_runs_write_the_same_artifacts_from_either_kernel():
