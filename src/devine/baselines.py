@@ -145,8 +145,9 @@ def _pattern(u: np.ndarray, v: np.ndarray, n: int, size: int) -> tuple:
 
 
 def _fill(values: np.ndarray, pattern: tuple, w2: np.ndarray) -> None:
-    """Write a column-stochastic transition at `pattern`'s places in the flat `values`;
-    w2 is each edge weight twice, in `_pattern`'s order."""
+    """Write a transition at `pattern`'s places in the flat `values`; w2 is each edge
+    weight twice, in `_pattern`'s order. Each column of a node with links sums to 1;
+    a node without links has none of `pattern`'s places, so its column stays 0."""
     at, ends, degree = pattern
     # weights are whole milli-units, so these sums are exact in any order
     col_sums = np.bincount(ends, w2, len(degree))
@@ -228,9 +229,10 @@ def _power_rank(
     params: GrcParams,
     start: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Damped fixed point r = (1-d)*c + d*T*r of a column-stochastic (n, n) transition T.
+    """Damped fixed point r = (1-d)*c + d*T*r of an (n, n) transition T.
 
-    c is `weights` normalized to sum 1, or uniform when they sum to 0. The
+    c is `weights` normalized to sum 1, or uniform when they sum to 0; r sums to
+    1 only if T is column-stochastic, which a node without links breaks. The
     iteration starts from `start` if given, else from c; it never writes its
     iterate in place, so `start` may be read-only.
     """
@@ -253,7 +255,8 @@ def _power_rank(
 
 
 def grc_rank(net: PhysicalNetwork, params: GrcParams | None = None) -> np.ndarray:
-    """Global resource-capacity rank of substrate nodes (sums to 1), read-only.
+    """Global resource-capacity rank of substrate nodes, read-only; it sums to 1
+    when every server has a link, as on any generated substrate.
 
     The kept state re-reads only the links in `bw_moved`, and is built afresh if
     something else wrote `bw_free`; its last rank serves while its inputs are equal.

@@ -68,21 +68,6 @@ def metric_of(revenue: float, cost: float, x: float = 1.0, y: float = 1.0) -> fl
     return x * revenue - y * cost
 
 
-def verify_solution(
-    net: PhysicalNetwork,
-    vnr: Vnr,
-    solution: EmbeddingSolution,
-    injective: bool = False,
-) -> Violation | None:
-    """Check a solution against current residuals; None means it can be allocated.
-
-    Checks run in a fixed order and report the first breach: mapping totality,
-    aggregated node capacities, path validity, aggregated link capacities.
-    """
-    found = _tally(net, vnr, solution, injective)
-    return found if isinstance(found, Violation) else None
-
-
 @dataclass
 class LedgerEntry:
     """Exact deltas applied for one request, for later reversal."""
@@ -91,10 +76,18 @@ class LedgerEntry:
     link_deltas: dict[int, int]  # link index -> bandwidth
 
 
-def _tally(
-    net: PhysicalNetwork, vnr: Vnr, solution: EmbeddingSolution, injective: bool
+def verify_solution(
+    net: PhysicalNetwork,
+    vnr: Vnr,
+    solution: EmbeddingSolution,
+    injective: bool = False,
 ) -> Violation | LedgerEntry:
-    """verify_solution's checks; when all pass, the per-server and per-link loads."""
+    """Check a solution against current residuals, in one pass that also tallies its load.
+
+    Checks run in a fixed order and report the first breach: mapping totality,
+    aggregated node capacities, path validity, aggregated link capacities.
+    When all pass, the entry holds the per-server and per-link loads `allocate` books.
+    """
     mapping, num_vnodes, n = solution.node_mapping, vnr.num_nodes, net.num_nodes
     for vid in range(num_vnodes):
         pid = mapping.get(vid)
@@ -162,18 +155,10 @@ def allocate(
     """Apply the solution's deltas to residuals and record them in the ledger."""
     if vnr.request_id in ledger:
         raise LedgerError(f"request {vnr.request_id} is already allocated")
-    violation = verify_solution(net, vnr, solution, injective=injective)
-    if violation is not None:
-        raise AllocationError(str(violation))
-    # tallied again: verify_solution stays a module-global call so its time can be traced apart
-    entry = _tally(net, vnr, solution, injective)
-    for pid, (cpu_m, memory_m, gpu_m) in entry.node_deltas.items():
-        net.cpu_free[pid] -= cpu_m
-        net.memory_free[pid] -= memory_m
-        net.gpu_free[pid] -= gpu_m
-    for link_idx, bw_m in entry.link_deltas.items():
-        net.bw_free[link_idx] -= bw_m
-    net.bw_moved.update(entry.link_deltas)
+    entry = verify_solution(net, vnr, solution, injective=injective)
+    if isinstance(entry, Violation):
+        raise AllocationError(str(entry))
+    _book(net, entry, -1)
     ledger[vnr.request_id] = entry
 
 
@@ -195,12 +180,17 @@ def release(net: PhysicalNetwork, request_id: int, ledger: dict[int, LedgerEntry
         if bw_m + net.bw_free[link_idx] > link.bw_capacity_m:
             raise LedgerError(f"release would exceed capacity on link ({link.u}, {link.v})")
     del ledger[request_id]
+    _book(net, entry, 1)
+
+
+def _book(net: PhysicalNetwork, entry: LedgerEntry, sign: int) -> None:
+    """Move residuals by sign times the entry's deltas: -1 takes them, 1 gives them back."""
     for pid, (cpu_m, memory_m, gpu_m) in entry.node_deltas.items():
-        net.cpu_free[pid] += cpu_m
-        net.memory_free[pid] += memory_m
-        net.gpu_free[pid] += gpu_m
+        net.cpu_free[pid] += sign * cpu_m
+        net.memory_free[pid] += sign * memory_m
+        net.gpu_free[pid] += sign * gpu_m
     for link_idx, bw_m in entry.link_deltas.items():
-        net.bw_free[link_idx] += bw_m
+        net.bw_free[link_idx] += sign * bw_m
     net.bw_moved.update(entry.link_deltas)
 
 

@@ -129,8 +129,7 @@ class GeneratorConfig:
             "cpu_demand", "memory_demand", "gpu_demand", "bandwidth_demand", "lifetime",
         ):
             dist = getattr(self, name)
-            if not all(math.isfinite(value) for value in dist):
-                raise ValueError(f"{name} must be finite, got {dist}")
+            require_finite(**{f"{name}[{i}]": value for i, value in enumerate(dist)})
             if max(abs(value) for value in dist) > MAX_AMOUNT:
                 raise ValueError(f"{name} may not exceed {MAX_AMOUNT:g} in magnitude, got {dist}")
             self.std_of(dist)

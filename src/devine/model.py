@@ -24,9 +24,13 @@ def from_milli(units: int) -> float:
 
 
 def require_finite(**values: float) -> None:
-    """Raise ValueError naming the first value that is infinite or NaN."""
+    """Raise ValueError naming the first value that is infinite, NaN, or too large for a float."""
     for name, value in values.items():
-        if not math.isfinite(value):
+        try:
+            finite = math.isfinite(value)
+        except OverflowError:
+            finite, value = False, "an integer too large for a float"
+        if not finite:
             raise ValueError(f"{name} must be finite, got {value}")
 
 

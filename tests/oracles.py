@@ -448,7 +448,9 @@ def power_rank(weights, edges, params, start=None):
     Damped fixed point r = (1-d)*c + d*T*r on an undirected weighted graph.
     c is `weights` normalized to sum 1; column j of T spreads over j's
     neighbors proportionally to edge weight, or uniformly when all of j's
-    incident weight is zero (keeps T column-stochastic, so ranks sum to 1).
+    incident weight is zero. That keeps each column of a node with links
+    stochastic, so ranks sum to 1 when every node has a link; a node without
+    links has a zero column, and the ranks sum to less.
     The iteration starts from `start` when one is given, else from c.
     """
     n = len(weights)

@@ -296,6 +296,22 @@ def test_config_errors_exit_1(tmp_path, capsys):
         config_path = tmp_path / name  # valid JSON, but not an object
         config_path.write_text(text)
         cases.append(["validate", "--config", str(config_path)])
+    oversized = [  # integers too large for a float, in float fields
+        {"duration": 10**400},
+        {"election": {"alpha": 10**400}},
+        {"generator": {"cpu_demand": [10**400, 1]}},
+        {"grc": {"damping": 10**400}},
+    ]
+    for i, config in enumerate(oversized):
+        config_path = tmp_path / f"oversized{i}.json"
+        config_path.write_text(json.dumps(config))
+        cases.append(["validate", "--config", str(config_path)])
+    # json.load itself refuses an integer past Python's 4300-digit limit, and bytes
+    # that do not decode
+    (tmp_path / "too_many_digits.json").write_text('{"seed": ' + "9" * 4301 + "}")
+    (tmp_path / "undecodable.json").write_bytes(b'{"seed": "\xff"}')
+    for name in ("too_many_digits.json", "undecodable.json"):
+        cases.append(["validate", "--config", str(tmp_path / name)])
     (tmp_path / "huge_vnr.json").write_text(json.dumps({"generator": {"vnr_size": [4, 1001]}}))
     for argv in cases:
         assert main(argv) == 1, argv

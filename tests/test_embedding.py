@@ -29,6 +29,8 @@ from devine import (
     stream,
     verify_solution,
 )
+from devine import embedding
+from devine.embedding import LedgerEntry
 from oracles import residual_snapshot
 
 
@@ -104,7 +106,7 @@ def test_verify_reports_violations_in_fixed_order():
     net = _line_net()
     vnr = _pair_vnr()
     ok = _solution(vnr, {0: 0, 1: 1}, {0: (0, 1)})
-    assert verify_solution(net, vnr, ok) is None
+    assert isinstance(verify_solution(net, vnr, ok), LedgerEntry)
 
     unmapped = _solution(vnr, {0: 0}, {0: (0, 1)})
     assert verify_solution(net, vnr, unmapped).kind == "node-mapping"
@@ -162,7 +164,7 @@ def test_verify_aggregates_demand_sharing_a_node_and_a_link():
     vnr = Vnr(0, nodes, links, 0.0, 10.0)
     # virtual nodes 0 and 1 share server 0: 80 cpu fits, per-node check alone would too
     sol = _solution(vnr, {0: 0, 1: 0, 2: 1}, {0: (0,), 1: (0, 1)})
-    assert verify_solution(net, vnr, sol) is None
+    assert isinstance(verify_solution(net, vnr, sol), LedgerEntry)
     # both links on the same substrate hop: 120 aggregate bandwidth exceeds 100
     shared = _solution(vnr, {0: 0, 1: 1, 2: 0}, {0: (0, 1), 1: (1, 0)})
     assert verify_solution(net, vnr, shared).kind == "link-capacity"
@@ -172,7 +174,7 @@ def test_injective_mode_rejects_reused_servers():
     net = _line_net()
     vnr = _pair_vnr()
     shared = _solution(vnr, {0: 0, 1: 0}, {0: (0,)})
-    assert verify_solution(net, vnr, shared) is None
+    assert isinstance(verify_solution(net, vnr, shared), LedgerEntry)
     assert verify_solution(net, vnr, shared, injective=True).kind == "node-mapping"
 
 
@@ -192,6 +194,38 @@ def test_allocate_release_round_trip_is_exact():
     assert residual_snapshot(net) == before
     assert ledger == {}
     assert conservation_violations(net, ledger) == []
+
+
+def test_allocate_books_the_entry_its_one_verify_returned(monkeypatch):
+    returned = []
+    real_verify = embedding.verify_solution
+
+    def recording_verify(*args, **kwargs):
+        returned.append(real_verify(*args, **kwargs))
+        return returned[-1]
+
+    monkeypatch.setattr(embedding, "verify_solution", recording_verify)
+    net = _line_net()
+    nodes_before, links_before = residual_snapshot(net)
+    nodes = [VirtualNode(i, ResourceVector(10.0 * (i + 1), 1.0, 2.0)) for i in range(3)]
+    vnr = Vnr(0, nodes, [VirtualLink(0, 1, 5.0), VirtualLink(1, 2, 7.0)], 0.0, 10.0)
+    # virtual nodes 0 and 2 share server 0, and both links cross (0, 1)
+    sol = _solution(vnr, {0: 0, 1: 2, 2: 0}, {0: (0, 1, 2), 1: (2, 1, 0)})
+    ledger = {}
+    allocate(net, vnr, sol, ledger)
+    assert len(returned) == 1
+    entry = ledger[0]
+    assert entry is returned[0]
+    assert entry.node_deltas == {0: (40000, 2000, 4000), 2: (20000, 1000, 2000)}
+    assert entry.link_deltas == {0: 12000, 1: 12000}
+    # the residuals moved by exactly the booked deltas, and nowhere else
+    nodes_after, links_after = residual_snapshot(net)
+    for pid, (before, after) in enumerate(zip(nodes_before, nodes_after)):
+        moved = tuple(b - a for b, a in zip(before, after))
+        assert moved == entry.node_deltas.get(pid, (0, 0, 0))
+    for idx, (before, after) in enumerate(zip(links_before, links_after)):
+        assert before - after == entry.link_deltas.get(idx, 0)
+    assert net.bw_moved == set(entry.link_deltas)
 
 
 def test_allocate_guards():

@@ -22,6 +22,7 @@ from devine import (
     stream,
     verify_solution,
 )
+from devine.embedding import LedgerEntry
 from oracles import best_path, brute_force_feasible, residual_snapshot
 
 
@@ -151,7 +152,7 @@ def test_embed_two_node_request_hand_traced():
     assert out.solution.metric == 0.0
     assert out.inspected_count == 2
     assert out.max_depth_reached == 1
-    assert verify_solution(net, vnr, out.solution) is None
+    assert isinstance(verify_solution(net, vnr, out.solution), LedgerEntry)
 
 
 def test_embed_splits_a_pair_across_a_full_pair_of_servers():
@@ -283,7 +284,7 @@ def test_embed_budget_and_depth_hold_over_random_instances():
             assert out.inspected_count <= math.ceil(alpha * vnr.num_nodes)
             assert out.max_depth_reached <= beta
             if out.feasible:
-                assert verify_solution(net, vnr, out.solution) is None
+                assert isinstance(verify_solution(net, vnr, out.solution), LedgerEntry)
                 for path in out.solution.path_mapping.values():
                     assert len(path) - 1 <= params.hop_limit()
 

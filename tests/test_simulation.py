@@ -17,6 +17,7 @@ from devine import (
     verify_solution,
 )
 from devine import embedding, protocol, simulation
+from devine.embedding import Violation
 
 
 def _small_cfg(algorithm="devine", **kw):
@@ -307,7 +308,7 @@ def test_stale_solution_is_rejected_at_allocate(monkeypatch):
     def stale_first_fit(net, vnr, params):
         empty = PhysicalNetwork(list(net.nodes), list(net.links))
         outcome = real_first_fit(empty, vnr, params)
-        if outcome.feasible and verify_solution(net, vnr, outcome.solution) is not None:
+        if outcome.feasible and isinstance(verify_solution(net, vnr, outcome.solution), Violation):
             stale.add(vnr.request_id)
         return outcome
 
