@@ -13,10 +13,11 @@ from .baselines import ConvergenceError, GrcParams, best_fit, first_fit, grc_emb
 from .embedding import (
     AllocationError,
     EmbeddingSolution,
+    LedgerEntry,
     LedgerError,
+    Violation,
     allocate,
     conservation_violations,
-    cost_of,
     metric_of,
     release,
     revenue_of,
@@ -25,7 +26,6 @@ from .embedding import (
 from .generator import (
     GenerationError,
     GeneratorConfig,
-    draw_positive,
     generate_physical_network,
     generate_vnr,
     stream,
@@ -34,7 +34,6 @@ from .local_embed import (
     INFEASIBLE,
     LocalEmbedOutcome,
     LocalEmbedParams,
-    demand_order,
     embed,
     map_link,
 )

@@ -12,7 +12,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .local_embed import LocalEmbedOutcome, LocalEmbedParams, _demands, _finish, _Scratch
-from .local_embed import demand_order
 from .model import PhysicalNetwork, Vnr, require_finite
 
 
@@ -52,7 +51,7 @@ def _greedy_by_choice(
     scratch = _Scratch(net, vnr, params.injective)
     hop_limit = params.hop_limit()
     inspected = 0
-    for vid in demand_order(vnr) if order is None else order:
+    for vid in _demands(vnr)[0] if order is None else order:
         pid, scanned = choose(scratch, vid)
         inspected += scanned
         if pid is None:

@@ -51,18 +51,6 @@ def revenue_of(vnr: Vnr) -> float:
     return from_milli(cpu_m + bw_m)
 
 
-def cost_of(vnr: Vnr, solution: EmbeddingSolution) -> float:
-    """Total CPU demand plus bandwidth demand weighted by mapped hop count."""
-    cpu_m = sum(node.demand.cpu_m for node in vnr.nodes)
-    weighted_m = 0
-    for idx, link in enumerate(vnr.links):
-        path = solution.path_mapping.get(idx)
-        if path is None:
-            raise ValueError(f"solution has no path for virtual link {idx}")
-        weighted_m += link.bw_demand_m * (len(path) - 1)
-    return from_milli(cpu_m + weighted_m)
-
-
 def metric_of(revenue: float, cost: float, x: float = 1.0, y: float = 1.0) -> float:
     """Weighted profit x*revenue - y*cost used to compare candidate embeddings."""
     return x * revenue - y * cost

@@ -15,7 +15,7 @@ Under poisson arrivals each request's gap is drawn from the request stream
 just before it.  A normal below its floor is redrawn at once, before the
 next value is drawn.  Each normal is formed as mean + std * z from standard
 normals z taken in this order, which is numpy's scalar normal bit for bit;
-the per-value reference tests in tests/test_fast_paths.py pin that.
+tests/test_fast_paths.py pins that against a per-value reference.
 """
 
 from __future__ import annotations
@@ -135,31 +135,13 @@ class GeneratorConfig:
             self.std_of(dist)
 
 
-def draw_positive(
-    rng: np.random.Generator,
-    dist: tuple[float, float],
-    cfg: GeneratorConfig,
-    floor: float | None = None,
-    max_redraws: int = _MAX_REDRAWS,
-) -> float:
-    """One normal draw, redrawn until it clears the floor."""
-    low = cfg.resource_floor if floor is None else floor
-    mean = dist[0]
-    std = cfg.std_of(dist)
-    for _ in range(max_redraws):
-        x = rng.normal(mean, std)
-        if x >= low:
-            return float(x)
-    raise GenerationError(f"could not draw a value >= {low} from N({mean}, std={std})")
-
-
 def _draw_positives(rng, cfg: GeneratorConfig, groups) -> list[float]:
-    """What `draw_positive` gives for every value of `groups`, from batches of standard normals.
+    """One normal per value of `groups`, redrawn below its floor up to `_MAX_REDRAWS` times.
 
     `groups` holds (dists, count, floor): `dists` repeated `count` times, each
-    value at least `floor`.  A batch is never longer than the values left or
-    the current value's redraws left, so the stream stops where the
-    per-value draws would stop, on success and on failure alike.
+    value at least `floor`.  A batch of standard normals is never longer than
+    the values left or the current value's redraws left, so the stream stops
+    where scalar draws would stop, on success and on failure alike.
     """
     means, stds, floors = [], [], []
     for dists, count, floor in groups:

@@ -70,11 +70,6 @@ def _key(node_id: int, metric: float) -> tuple[float, int]:
     return (INFEASIBLE if math.isnan(metric) else metric, -node_id)
 
 
-def demand_order(vnr: Vnr) -> list[int]:
-    """Virtual node ids by descending cpu+memory+gpu+incident bandwidth, ties by id."""
-    return list(_demands(vnr)[0])
-
-
 def _demands(vnr: Vnr) -> tuple:
     """(demand order, (cpu, memory, gpu) per node, least, totals, revenue), once per request."""
     if vnr.demand_order_memo is None:
@@ -441,7 +436,7 @@ def _finish(
 ) -> LocalEmbedOutcome:
     """Outcome for a complete tentative placement, priced and scored.
 
-    The cost is `cost_of`'s integer sum: cpu plus the reserved bandwidth x hops.
+    The cost is an integer sum: the request's cpu plus each reserved bandwidth x its hops.
     Infeasible when the metric is not finite (x * revenue - y * cost
     overflowed): such a score cannot be ranked or written as JSON.
     """

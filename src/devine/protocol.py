@@ -129,7 +129,6 @@ class ElectionResult:
     outcome: LocalEmbedOutcome
     trace: ElectionTrace
     winner: int
-    ring: LeaderRing
 
 
 def run_election(
@@ -173,4 +172,4 @@ def run_election(
         carried.append(best)
         metrics.append(None if metric == INFEASIBLE else metric)
     trace = ElectionTrace(vnr.request_id, members, carried, metrics)
-    return ElectionResult(outcomes[best], trace, members[best], ring)
+    return ElectionResult(outcomes[best], trace, members[best])

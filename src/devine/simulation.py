@@ -2,14 +2,15 @@
 
 The master seed splits into named streams so the generated workload
 (substrate, requests, primaries) is identical no matter which embedding
-algorithm runs.  Event ties resolve departures before arrivals.
+algorithm runs.  One queue orders arrivals, departures and sampling epochs;
+at equal times departures go first, then arrivals, then the sample, so a
+sample counts every event up to and including its time.
 """
 
 from __future__ import annotations
 
 import hashlib
 import heapq
-import math
 import operator
 from dataclasses import asdict, dataclass, field, is_dataclass, replace
 from functools import reduce
@@ -37,8 +38,10 @@ ALGORITHMS = ("devine", "firstfit", "bestfit", "grc")
 MAX_ARRIVALS = 10_000_000
 MAX_SAMPLES = 10_000_000
 
-_DEPARTURE = 0  # sorts before arrivals at equal times
+# event kinds, in the order they run at equal times
+_DEPARTURE = 0
 _ARRIVAL = 1
+_SAMPLE = 2
 
 
 class SimulationError(RuntimeError):
@@ -223,9 +226,10 @@ def run_simulation(cfg: SimConfig) -> SimulationResult:
     # grc ranks every request once, up front: a request's rank ignores the substrate
     orders = vnr_orders([vnr for _, vnr, _ in workload], cfg.grc) if cfg.algorithm == "grc" else {}
 
-    events: list[tuple[float, int, int, object]] = []
-    for when, vnr, primary in workload:
-        heapq.heappush(events, (when, _ARRIVAL, vnr.request_id, (vnr, primary)))
+    # one queue of (time, kind, id, payload); the workload's time order already makes it a heap
+    events = [(when, _ARRIVAL, vnr.request_id, (vnr, primary)) for when, vnr, primary in workload]
+    if cfg.duration > 0:  # epoch k samples at k * interval, the last one at the horizon
+        heapq.heappush(events, (min(cfg.sampling_interval, cfg.duration), _SAMPLE, 1, None))
 
     series: list[SeriesSample] = []
     per_arrival: list[ArrivalRecord] = []
@@ -235,42 +239,33 @@ def run_simulation(cfg: SimConfig) -> SimulationResult:
     embedding_messages = embedded_messages = 0
     digest = hashlib.sha256()
 
-    def sample(now: float) -> None:
-        cpu, bw = _utilization(net)
-        series.append(
-            SeriesSample(
-                time=now,
-                arrivals=arrivals,
-                acceptances=acceptances,
-                acceptance_ratio=acceptances / arrivals if arrivals else 0.0,
-                revenue=revenue,
-                cost=cost,
-                revenue_cost_ratio=revenue / cost if cost > 0 else 0.0,
-                cpu_utilization=cpu,
-                link_utilization=bw,
-                embedding_messages=embedding_messages,
-                embedded_messages=embedded_messages,
-            )
-        )
-
-    epoch = 0
-
-    def flush_samples(up_to: float) -> None:
-        # epochs at k*interval, covering events with time <= the epoch
-        nonlocal epoch
-        while True:
-            next_time = (epoch + 1) * cfg.sampling_interval
-            if next_time > cfg.duration or next_time >= up_to:
-                break
-            epoch += 1
-            sample(next_time)
-
     # departures past the horizon stay queued; the wind-down below releases them
     while events and events[0][0] <= cfg.duration:
-        when, kind, request_id, payload = heapq.heappop(events)
-        flush_samples(when)
+        when, kind, request_id, payload = heapq.heappop(events)  # a sample's id is its epoch
         if kind == _DEPARTURE:
             release(net, request_id, ledger)
+            continue
+        if kind == _SAMPLE:
+            cpu, bw = _utilization(net)
+            series.append(
+                SeriesSample(
+                    time=when,
+                    arrivals=arrivals,
+                    acceptances=acceptances,
+                    acceptance_ratio=acceptances / arrivals if arrivals else 0.0,
+                    revenue=revenue,
+                    cost=cost,
+                    revenue_cost_ratio=revenue / cost if cost > 0 else 0.0,
+                    cpu_utilization=cpu,
+                    link_utilization=bw,
+                    embedding_messages=embedding_messages,
+                    embedded_messages=embedded_messages,
+                )
+            )
+            if when < cfg.duration:
+                epoch = request_id + 1
+                next_time = min(epoch * cfg.sampling_interval, cfg.duration)
+                heapq.heappush(events, (next_time, _SAMPLE, epoch, None))
             continue
         vnr, primary = payload
         arrivals += 1
@@ -321,10 +316,6 @@ def run_simulation(cfg: SimConfig) -> SimulationResult:
                 embedded_messages=req_embedded,
             )
         )
-
-    flush_samples(math.inf)
-    if cfg.duration > 0 and (not series or series[-1].time < cfg.duration):
-        sample(cfg.duration)
 
     summary = {
         "algorithm": cfg.algorithm,

@@ -17,12 +17,16 @@ and keeps them on the request.  `RoutingScratch` is the scratch whose
 `try_place` routes every virtual link through `map_link` and `reserve_path`,
 co-located endpoints included, where the package keeps their one-node path
 without either call.
+`cost_of` prices a solution from its paths, where the package adds up
+the bandwidth it reserved.  `demand_order` is a request's demand order as a
+list the caller may change.
 `generate_physical_network` and `generate_vnr` are the per-value
 generators that the batched draws replaced: one scalar `draw_positive` per
-value, node pairs built as tuples by `itertools.combinations`, and
-connectivity tested by `connected`, a breadth-first search over neighbor
-sets in place of the bitmask search.  `build_workload` draws each primary
-with its own scalar call, where the package draws them all in one.
+value, redrawn below its floor, node pairs built as tuples by
+`itertools.combinations`, and connectivity tested by `connected`, a
+breadth-first search over neighbor sets in place of the bitmask search.
+`build_workload` draws each primary with its own scalar call, where the
+package draws them all in one.
 `message_election` is the message-passing ring that the one-pass election
 replaced: each leader reacts to the message it receives, delivery by
 delivery, and a `MessageLog` of its own logs what was delivered, where the
@@ -51,12 +55,12 @@ from devine import (
     VirtualLink,
     VirtualNode,
     Vnr,
-    draw_positive,
     from_milli,
     local_embed,
     stream,
 )
 from devine.baselines import _greedy_by_choice
+from devine.generator import _MAX_REDRAWS
 from devine.local_embed import _Scratch
 
 
@@ -168,6 +172,23 @@ def levels(adjacency, src, dst, hop_limit, usable):
             return None
         frontier = reached
     return None
+
+
+def cost_of(vnr, solution):
+    """Total CPU demand plus bandwidth demand weighted by mapped hop count."""
+    cpu_m = sum(node.demand.cpu_m for node in vnr.nodes)
+    weighted_m = 0
+    for idx, link in enumerate(vnr.links):
+        path = solution.path_mapping.get(idx)
+        if path is None:
+            raise ValueError(f"solution has no path for virtual link {idx}")
+        weighted_m += link.bw_demand_m * (len(path) - 1)
+    return from_milli(cpu_m + weighted_m)
+
+
+def demand_order(vnr):
+    """Virtual node ids by descending cpu+memory+gpu+incident bandwidth, ties by id."""
+    return list(local_embed._demands(vnr)[0])
 
 
 def demand_memo(vnr):
@@ -314,6 +335,18 @@ def connected_edges(rng, num_nodes, probability, max_attempts):
         f"no connected graph with n={num_nodes}, p={probability} "
         f"after {max_attempts} attempts"
     )
+
+
+def draw_positive(rng, dist, cfg, floor=None, max_redraws=_MAX_REDRAWS):
+    """One scalar normal draw, redrawn until it clears the floor."""
+    low = cfg.resource_floor if floor is None else floor
+    mean = dist[0]
+    std = cfg.std_of(dist)
+    for _ in range(max_redraws):
+        x = rng.normal(mean, std)
+        if x >= low:
+            return float(x)
+    raise GenerationError(f"could not draw a value >= {low} from N({mean}, std={std})")
 
 
 def generate_physical_network(cfg, rng):

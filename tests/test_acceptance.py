@@ -27,6 +27,7 @@ from devine import (
     ResourceVector,
     SimConfig,
     VirtualNode,
+    Violation,
     Vnr,
     best_fit,
     compare_algorithms,
@@ -42,7 +43,6 @@ from devine import (
     verify_solution,
 )
 from devine.cli import main as cli_main
-from devine.embedding import Violation
 from oracles import brute_force_feasible, copy_network
 
 
@@ -158,7 +158,7 @@ def test_criterion_2_election_argmax_oracle():
         result = run_election(net, vnr, primary, params, rng=stream(seed, "leaders"))
         best_key = max(
             (embed(nid, frozen, vnr, params).metric(), -nid)
-            for nid in result.ring.members
+            for nid in result.trace.members
         )
         winner_key = (
             embed(result.winner, frozen, vnr, params).metric(),

@@ -7,6 +7,7 @@ from devine import (
     ConvergenceError,
     GeneratorConfig,
     GrcParams,
+    LedgerEntry,
     LocalEmbedOutcome,
     LocalEmbedParams,
     PhysicalLink,
@@ -24,7 +25,6 @@ from devine import (
     stream,
     verify_solution,
 )
-from devine.embedding import LedgerEntry
 from oracles import brute_force_feasible, residual_snapshot
 
 ALL_BASELINES = [

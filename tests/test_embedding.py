@@ -9,6 +9,7 @@ from devine import (
     AllocationError,
     EmbeddingSolution,
     GeneratorConfig,
+    LedgerEntry,
     LedgerError,
     PhysicalLink,
     PhysicalNetwork,
@@ -19,7 +20,6 @@ from devine import (
     Vnr,
     allocate,
     conservation_violations,
-    cost_of,
     first_fit,
     generate_physical_network,
     generate_vnr,
@@ -30,8 +30,7 @@ from devine import (
     verify_solution,
 )
 from devine import embedding
-from devine.embedding import LedgerEntry
-from oracles import residual_snapshot
+from oracles import cost_of, residual_snapshot
 
 
 def _line_net(n=4, cpu=100.0, bw=100.0):

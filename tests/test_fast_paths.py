@@ -15,7 +15,7 @@ is free on the inspected node before calling `try_place`, which keeps a
 co-located link's one-node path without calling `map_link`.  Each request
 keeps its demand order, demand triples, least demand, totals and revenue,
 and a finished placement is priced from the bandwidth x hops its
-reservations added up rather than by `cost_of` over its paths.  GRC fills its
+reservations added up rather than by `oracles.cost_of` over its paths.  GRC fills its
 transition matrices from edge arrays, refills one kept substrate transition in
 place from the links that allocate and release moved, steps a sparse one by a
 gather over its links (within float64 rounding of the dense rank), ranks a
@@ -31,7 +31,7 @@ give exactly what the whole-graph breadth-first search, the exhaustive path
 oracle, the one-sided search, the plain greedy loop, the scratch that maps every
 link, the loop-built rank, the
 sorted-key order, the scanning choosers, the request-only demand memo and
-`cost_of`, `revenue_of` and `metric_of` give.  The generator draws each
+`oracles.cost_of`, `revenue_of` and `metric_of` give.  The generator draws each
 request's and each substrate's normals in one call and picks G(n, p) pairs
 from flat indices; both must consume the same stream and build the same
 objects as the per-value generators.
@@ -70,8 +70,6 @@ from devine import (
     allocate,
     baselines,
     best_fit,
-    cost_of,
-    demand_order,
     embed,
     first_fit,
     from_milli,
@@ -93,7 +91,7 @@ from devine.baselines import _stacked_rank, vnr_orders
 from devine.local_embed import LocalEmbedOutcome, _finish, _Scratch
 from devine.model import Walk
 import oracles
-from oracles import best_path, power_rank
+from oracles import best_path, cost_of, demand_order, power_rank
 from test_golden_digests import CONFIGS, DURATION, SEEDS
 
 amounts = st.integers(min_value=0, max_value=30)
@@ -1760,7 +1758,7 @@ def test_batched_normals_are_the_per_value_draws_bit_for_bit(dists, count, floor
     fast_rng, slow_rng = np.random.default_rng(seed), np.random.default_rng(seed)
     fast = _facts(lambda: generator._draw_positives(fast_rng, cfg, [(dists, count, floor)]), list)
     slow = _facts(
-        lambda: [generator.draw_positive(slow_rng, d, cfg, floor) for _ in range(count) for d in dists],
+        lambda: [oracles.draw_positive(slow_rng, d, cfg, floor) for _ in range(count) for d in dists],
         list,
     )
     assert fast == slow

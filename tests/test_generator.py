@@ -10,14 +10,14 @@ from devine import (
     VirtualLink,
     VirtualNode,
     Vnr,
-    draw_positive,
     from_milli,
     generate_physical_network,
     generate_vnr,
     stream,
     to_milli,
 )
-from devine.generator import MAX_NODES
+from devine import generator
+from devine.generator import MAX_NODES, _MAX_REDRAWS
 from oracles import connected
 
 
@@ -73,7 +73,8 @@ def test_second_parameter_switches_variance_and_std():
     assert var_cfg.std_of((100.0, 400.0)) == 20.0
     assert std_cfg.std_of((100.0, 400.0)) == 400.0
     rng = np.random.default_rng(0)
-    draws = [draw_positive(rng, (100.0, 400.0), var_cfg) for _ in range(4000)]
+    groups = [(((100.0, 400.0),), 4000, var_cfg.resource_floor)]
+    draws = generator._draw_positives(rng, var_cfg, groups)
     assert abs(np.std(draws) - 20.0) < 1.5  # truncation at 0.1 is negligible 5 sigma out
 
 
@@ -90,17 +91,21 @@ def test_draw_positive_matches_truncated_normal_mean():
     cfg = GeneratorConfig(second_parameter="variance")
     rng = np.random.default_rng(123)
     n = 20000
-    draws = [draw_positive(rng, (1.0, 4.0), cfg) for _ in range(n)]
+    draws = generator._draw_positives(rng, cfg, [(((1.0, 4.0),), n, cfg.resource_floor)])
     assert min(draws) >= 0.1
     expected = _truncated_normal_mean(1.0, 2.0, 0.1)
     assert abs(np.mean(draws) - expected) < 5 * 2.0 / math.sqrt(n)
 
 
 def test_draw_positive_gives_up_on_hopeless_floor():
+    # the first value never clears 50, so generation fails after exactly
+    # _MAX_REDRAWS normals and the value after it is never drawn
     cfg = GeneratorConfig()
-    rng = np.random.default_rng(0)
-    with pytest.raises(GenerationError):
-        draw_positive(rng, (0.0, 1e-12), cfg, floor=50.0, max_redraws=10)
+    rng, twin = np.random.default_rng(0), np.random.default_rng(0)
+    with pytest.raises(GenerationError, match="could not draw a value >= 50"):
+        generator._draw_positives(rng, cfg, [(((0.0, 1e-12), (100.0, 1.0)), 1, 50.0)])
+    twin.standard_normal(_MAX_REDRAWS)
+    assert rng.bit_generator.state == twin.bit_generator.state
 
 
 def test_physical_network_shape_and_floors():

@@ -6,6 +6,7 @@ import pytest
 from devine import (
     INFEASIBLE,
     GeneratorConfig,
+    LedgerEntry,
     LocalEmbedParams,
     PhysicalLink,
     PhysicalNetwork,
@@ -14,15 +15,14 @@ from devine import (
     VirtualLink,
     VirtualNode,
     Vnr,
-    demand_order,
     embed,
     generate_physical_network,
     generate_vnr,
+    local_embed,
     map_link,
     stream,
     verify_solution,
 )
-from devine.embedding import LedgerEntry
 from oracles import best_path, brute_force_feasible, residual_snapshot
 
 
@@ -52,10 +52,9 @@ def test_demand_order_sorts_by_total_demand_then_id():
     ]
     links = [VirtualLink(0, 1, 4.0), VirtualLink(1, 2, 1.0)]
     vnr = Vnr(0, nodes, links, 0.0, 1.0)
-    order = demand_order(vnr)
-    assert order == [1, 0, 2]
-    order.reverse()  # each call hands out its own copy of the kept order
-    assert demand_order(vnr) == [1, 0, 2]
+    order = local_embed._demands(vnr)[0]
+    assert order == (1, 0, 2)
+    assert isinstance(order, tuple)  # no caller can change the kept order
 
     twins = Vnr(
         1,
@@ -64,7 +63,7 @@ def test_demand_order_sorts_by_total_demand_then_id():
         0.0,
         1.0,
     )
-    assert demand_order(twins) == [0, 1]  # equal totals fall back to id order
+    assert local_embed._demands(twins)[0] == (0, 1)  # equal totals fall back to id order
 
 
 def _square(bw01=10.0):

@@ -348,12 +348,14 @@ def test_real_elections_pick_the_best_local_embedding():
             primary = int(stream(seed, "primaries").integers(0, 12))
             frozen = copy_network(net)
             result = run_election(net, vnr, primary, params, rng=rng)
-            outcomes = {nid: embed(nid, frozen, vnr, params) for nid in result.ring.members}
+            outcomes = {nid: embed(nid, frozen, vnr, params) for nid in result.trace.members}
             expected = max((outcome.metric(), -nid) for nid, outcome in outcomes.items())
             assert (result.outcome.metric(), -result.winner) == expected
             assert result.trace.embedding_count <= 2 * leaders - 1
             assert result.trace.embedded_count == leaders
-            winner, outcome, trace = message_election(result.ring, outcomes, vnr.request_id)
+            winner, outcome, trace = message_election(
+                LeaderRing(result.trace.members), outcomes, vnr.request_id
+            )
             assert (result.winner, result.outcome) == (winner, outcome)
             assert result.trace.embedding_count == trace.embedding_count
             assert result.trace.embedded_count == trace.embedded_count

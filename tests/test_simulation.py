@@ -11,13 +11,17 @@ from devine import (
     PhysicalNetwork,
     SimConfig,
     SimulationError,
+    Violation,
+    allocate,
     build_workload,
     compare_algorithms,
+    first_fit,
+    generate_physical_network,
     run_simulation,
+    stream,
     verify_solution,
 )
 from devine import embedding, protocol, simulation
-from devine.embedding import Violation
 
 
 def _small_cfg(algorithm="devine", **kw):
@@ -149,6 +153,26 @@ def test_still_embedded_requests_load_the_final_sample():
     assert result.summary["acceptances"] > 0
     assert result.series[-1].cpu_utilization > 0.0
     assert result.summary["conservation_ok"] is True  # wind-down still releases all
+
+
+def test_equal_times_run_departures_then_arrivals_then_the_sample():
+    # request k arrives at time k and leaves at k + 1, the moment request k + 1
+    # arrives and epoch k + 1 samples: the sample sees request k + 1 alone
+    gen = GeneratorConfig(server_count=15, link_probability=0.5, arrival_rate=1.0,
+                          arrival_process="uniform", lifetime=(1.0, 0.0))
+    cfg = _small_cfg("firstfit", generator=gen, duration=5.5, sampling_interval=1.0)
+    result = run_simulation(cfg)
+    assert [s.time for s in result.series] == [1.0, 2.0, 3.0, 4.0, 5.0, 5.5]
+    assert [s.arrivals for s in result.series] == [1, 2, 3, 4, 5, 5]
+    workload = build_workload(gen, cfg.duration, cfg.seed)
+    for sample, (when, vnr, _) in zip(result.series, workload):
+        assert sample.time == when
+        fresh = generate_physical_network(gen, stream(cfg.seed, "topology"))
+        outcome = first_fit(fresh, vnr, cfg.election)
+        assert outcome.feasible
+        allocate(fresh, vnr, outcome.solution, {}, injective=cfg.election.injective)
+        assert sample.cpu_utilization == simulation._utilization(fresh)[0] > 0.0
+    assert result.series[-1].cpu_utilization == result.series[-2].cpu_utilization
 
 
 def test_election_message_accounting_per_arrival():
